@@ -30,7 +30,6 @@ from .fundamental import (
     build_fundamental_continuous,
     fundamental_commutative_continuous,
     fundamental_commutative_discrete,
-    fundamental_discrete,
 )
 from .linalg import binomial, commutes, sylvester_apply
 from .oracle import IntegratorConfig, integrate_continuous, step_discrete
@@ -79,7 +78,6 @@ __all__ = [
     # fundamental solutions
     "DiscreteFundamental",
     "build_fundamental_continuous",
-    "fundamental_discrete",
     "fundamental_commutative_continuous",
     "fundamental_commutative_discrete",
     # problem data

@@ -221,12 +221,31 @@ def _sample_times(start, stop, step):
     return start + step * np.arange(n)
 
 
-def _continuous_windows(horizon, sigma):
-    return max(1, int(math.ceil(horizon / sigma - 1e-12)))
+def _discrete_z_table(sys_, us):
+    fund = DiscreteFundamental(sys_)
+    return TrajectoryTable(
+        kind="discrete",
+        times=us.astype(float),
+        values=np.stack([fund.value(int(u)) for u in us]),
+    )
 
 
-def _discrete_depth(u_max, m):
-    return max(1, -(-int(u_max) // (m + 1)))
+def _write_dumps(args, sys_, horizon, z_node, outputs):
+    """Write ``--dump-z`` (the node ``z_node()``, built only when asked
+    for) and ``--dump-q`` (the q table deep enough to reach ``horizon``,
+    a time for continuous systems or a step index for discrete ones)."""
+    if args.dump_z:
+        write_json(z_node(), args.dump_z)
+        outputs.append(args.dump_z)
+    if args.dump_q:
+        if sys_.is_continuous:
+            depth = max(1, int(math.ceil(horizon / sys_.sigma - 1e-12)))
+        else:
+            depth = max(1, -(-int(max(horizon, 1)) // (sys_.m + 1)))
+        write_json(
+            qtable_to_node(build_q_table(sys_.a0, sys_.a1, depth)), args.dump_q
+        )
+        outputs.append(args.dump_q)
 
 
 def _emit_table(args, table, json_extra, outputs):
@@ -295,15 +314,7 @@ def _cmd_fundamental(args):
         table = TrajectoryTable(
             kind="continuous", times=times, values=z.eval(times)
         )
-        if args.dump_z:
-            write_json(ppoly_to_node(z), args.dump_z)
-            outputs.append(args.dump_z)
-        if args.dump_q:
-            depth = _continuous_windows(args.stop, sigma)
-            write_json(
-                qtable_to_node(build_q_table(sys_.a0, sys_.a1, depth)), args.dump_q
-            )
-            outputs.append(args.dump_q)
+        _write_dumps(args, sys_, args.stop, lambda: ppoly_to_node(z), outputs)
     else:
         m = sys_.m
         stop = _as_index(args.stop, "--to")
@@ -315,22 +326,10 @@ def _cmd_fundamental(args):
             _flag_error("--step must be a positive integer", "--step")
         if start > stop:
             _flag_error(f"--from {start} must not exceed --to {stop}", "--from")
-        us = np.arange(start, stop + 1, step)
-        fund = DiscreteFundamental(sys_)
-        table = TrajectoryTable(
-            kind="discrete",
-            times=us.astype(float),
-            values=np.stack([fund.value(int(u)) for u in us]),
+        table = _discrete_z_table(sys_, np.arange(start, stop + 1, step))
+        _write_dumps(
+            args, sys_, stop, lambda: trajectory_to_node(table), outputs
         )
-        if args.dump_z:
-            write_json(trajectory_to_node(table), args.dump_z)
-            outputs.append(args.dump_z)
-        if args.dump_q:
-            depth = _discrete_depth(max(stop, 1), m)
-            write_json(
-                qtable_to_node(build_q_table(sys_.a0, sys_.a1, depth)), args.dump_q
-            )
-            outputs.append(args.dump_q)
     _emit_table(args, table, {}, outputs)
     _write_manifest(args, outputs, {})
     return 0
@@ -356,16 +355,13 @@ def _cmd_solve(args):
         table = TrajectoryTable(
             kind="continuous", times=times, values=x.eval(times)
         )
-        if args.dump_z:
-            z = build_fundamental_continuous(sys_, args.stop + sys_.sigma)
-            write_json(ppoly_to_node(z), args.dump_z)
-            outputs.append(args.dump_z)
-        if args.dump_q:
-            depth = _continuous_windows(args.stop + sys_.sigma, sys_.sigma)
-            write_json(
-                qtable_to_node(build_q_table(sys_.a0, sys_.a1, depth)), args.dump_q
-            )
-            outputs.append(args.dump_q)
+        # the formula reads Z one delay past the horizon
+        z_end = args.stop + sys_.sigma
+        _write_dumps(
+            args, sys_, z_end,
+            lambda: ppoly_to_node(build_fundamental_continuous(sys_, z_end)),
+            outputs,
+        )
     else:
         n_steps = _as_index(args.stop, "--to")
         if n_steps < 0:
@@ -375,23 +371,12 @@ def _cmd_solve(args):
             allow_noncommuting_data=args.allow_noncommuting_data,
             hypothesis_tol=args.hypothesis_tol,
         )
-        m = sys_.m
-        if args.dump_z:
-            fund = DiscreteFundamental(sys_)
-            us = np.arange(-(m + 1), n_steps + 1)
-            ztab = TrajectoryTable(
-                kind="discrete",
-                times=us.astype(float),
-                values=np.stack([fund.value(int(u)) for u in us]),
-            )
-            write_json(trajectory_to_node(ztab), args.dump_z)
-            outputs.append(args.dump_z)
-        if args.dump_q:
-            depth = _discrete_depth(max(n_steps, 1), m)
-            write_json(
-                qtable_to_node(build_q_table(sys_.a0, sys_.a1, depth)), args.dump_q
-            )
-            outputs.append(args.dump_q)
+        us = np.arange(-(sys_.m + 1), n_steps + 1)
+        _write_dumps(
+            args, sys_, n_steps,
+            lambda: trajectory_to_node(_discrete_z_table(sys_, us)),
+            outputs,
+        )
     tagged = bool(args.allow_noncommuting_data and not report.ok)
     extra = {
         "hypothesis_check": report.summary(),

@@ -38,7 +38,6 @@ from .qseq import build_q_table, q_commutative_closed_form
 __all__ = [
     "build_fundamental_continuous",
     "DiscreteFundamental",
-    "fundamental_discrete",
     "fundamental_commutative_continuous",
     "fundamental_commutative_discrete",
 ]
@@ -132,11 +131,6 @@ class DiscreteFundamental:
         out.setflags(write=False)
         self._cache[u] = out
         return out
-
-
-def fundamental_discrete(fund, u):
-    """``Z(u)`` from a :class:`DiscreteFundamental` (memoized)."""
-    return fund.value(u)
 
 
 def _require_commuting(a0, a1, tol):

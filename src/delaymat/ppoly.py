@@ -20,14 +20,23 @@ Representation choices:
   polynomial degree per delay window, so the cap bounds the horizon, and
   exceeding it raises :class:`~delaymat.errors.DegreeCapExceeded` rather
   than silently losing precision.
+
+The calculus is array algebra over the coefficient stacks.  Every
+binomial comes from one small float Pascal table built at import.  An
+argument shift is one product with a binomial-power matrix, and the
+convolution does one tensor contraction per active piece pair, with
+scalar tables that depend only on the two piece degrees and are cached
+per degree pair (see :func:`convolve_kernel`).
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .errors import DegreeCapExceeded, DimensionMismatch
-from .linalg import binomial
 
 __all__ = [
     "MAX_DEGREE",
@@ -38,6 +47,13 @@ __all__ = [
 
 #: Largest supported polynomial degree per segment.
 MAX_DEGREE = 64
+
+#: ``_PASCAL[n, k] = C(n, k)`` as floats (zero for ``k > n``), for every
+#: binomial the shifts and the convolution pair kernel use.
+_PASCAL = np.array(
+    [[math.comb(n, k) for k in range(MAX_DEGREE + 4)] for n in range(MAX_DEGREE + 4)],
+    dtype=float,
+)
 
 
 class MatrixPolynomial:
@@ -113,19 +129,16 @@ class MatrixPolynomial:
         return MatrixPolynomial(out)
 
     def shift(self, s):
-        """Return ``q(t) = p(t + s)``."""
+        """Return ``q(t) = p(t + s)``: one product with the matrix
+        ``S[i, j] = C(j, i) s**(j - i)`` (zero below the diagonal)."""
         if s == 0.0:
             return self
-        out = np.zeros_like(self.coeffs)
-        for j in range(self.coeffs.shape[0]):
-            cj = self.coeffs[j]
-            if not cj.any():
-                continue
-            spow = 1.0
-            for i in range(j, -1, -1):
-                out[i] += (binomial(j, i) * spow) * cj
-                spow *= s
-        return MatrixPolynomial(out)
+        n = self.coeffs.shape[0]
+        e = np.arange(n)
+        spow = float(s) ** np.maximum(e[None, :] - e[:, None], 0)
+        smat = _PASCAL[:n, :n].T * spow
+        flat = self.coeffs.reshape(n, -1)
+        return MatrixPolynomial((smat @ flat).reshape(self.coeffs.shape))
 
     def reflect(self):
         """Return ``q(t) = p(-t)``."""
@@ -483,15 +496,6 @@ def _merge_breakpoints(values, lo, hi):
     return np.asarray(keep)
 
 
-def _affine_powers(aff, n):
-    """Powers 0..n of ``c0 + c1*x`` as ascending coefficient arrays."""
-    c0, c1 = aff
-    pows = [np.array([1.0])]
-    for _ in range(n):
-        pows.append(np.convolve(pows[-1], np.array([c0, c1])))
-    return pows
-
-
 def convolve_kernel(kernel, data, c, a, b, out_lo, out_hi):
     """Exact ``H(t) = \\int_a^b kernel(t - c - s) @ data(s) ds`` on
     ``[out_lo, out_hi)``.
@@ -506,11 +510,35 @@ def convolve_kernel(kernel, data, c, a, b, out_lo, out_hi):
     slope 0 or 1.
 
     Everything is expanded exactly.  Per-interval work happens in
-    interval-local coordinates (local output time, data-piece-local
-    integration variable) so the binomial expansions stay well
-    conditioned; each resulting piece is converted to the global time
-    variable once.  Matrix factor order is preserved: kernel values
-    multiply data values from the left.
+    interval-local coordinates (local output time ``tau = t - t0``,
+    data-piece-local integration variable ``z = s - ql``) so the binomial
+    expansions stay well conditioned; each resulting piece is converted
+    to the global time variable once.
+
+    Each active piece pair is one tensor contraction.  With the kernel
+    piece ``P(x) = sum_i P_i x**i`` (degree ``p``) written so that its
+    argument is ``tau - z``, and the data piece ``Q(z) = sum_j Q_j z**j``
+    (degree ``q``),
+
+        acc[o] += sum_{i, j} W[i, j, o] (P_i @ Q_j),
+
+    where ``W[i, j, :]`` holds the tau-coefficients of
+    ``\\int_lo^hi (tau - z)**i z**j dz``.  ``W`` is the z-antiderivative
+    at the upper bound minus the same at the lower bound, and each bound
+    term has a closed form without any sum:
+
+    * a fixed bound ``z = h`` contributes
+      ``(-1)**(i-g) C(i, g) h**(i-g+j+1) / (i-g+j+1)`` to ``tau**g``;
+    * a moving bound ``z = tau + h`` (where the kernel argument is the
+      constant ``-h``) contributes ``(-1)**i C(j, o) h**(i+j-o+1) /
+      (i+j-o+1)`` to ``tau**o`` for ``o <= j``, plus the Beta value
+      ``i! j! / (i+j+1)!`` to ``tau**(i+j+1)``.
+
+    The signed binomials, the exponents and the Beta values depend only
+    on ``(p, q)`` and are cached per degree pair.  A pair then costs one
+    power of each bound, one batched product ``P[:, None] @ Q[None]`` and
+    one matrix product ``W.T @ M``.  Matrix factor order is preserved:
+    kernel values multiply data values from the left.
     """
     if kernel.dim != data.dim:
         raise DimensionMismatch("kernel and data dimensions differ")
@@ -547,13 +575,15 @@ def convolve_kernel(kernel, data, c, a, b, out_lo, out_hi):
             f"convolution degree {max_deg} exceeds the cap {MAX_DEGREE}"
         )
 
+    # data pieces in their local variable z = s - ql, once per segment
+    qlocal = [(ql, qr, qpoly.shift(ql).coeffs) for ql, qr, qpoly in qsegs]
     width_tol = 1e-13 * max(1.0, abs(a), abs(b))
     pieces = []
     for k in range(len(bks) - 1):
         t0, t1 = bks[k], bks[k + 1]
         tm = 0.5 * (t0 + t1)
         acc = np.zeros((max_deg + 2, d, d))
-        for ql, qr, qpoly in qsegs:
+        for ql, qr, qcoef in qlocal:
             for pl, pr, ppoly in psegs:
                 # s-window where this piece pair is active, probed at the
                 # interval midpoint (pair boundaries only cross at knots)
@@ -563,41 +593,58 @@ def convolve_kernel(kernel, data, c, a, b, out_lo, out_hi):
                 hi = min(qr, hi_mov)
                 if hi - lo <= width_tol:
                     continue
-                # integration bounds in data-local z = s - ql, affine in
-                # interval-local tau = t - t0 with slope 0 or 1
-                lo_aff = (0.0, 0.0) if ql >= lo_mov else (t0 - c - pr - ql, 1.0)
-                hi_aff = (qr - ql, 0.0) if qr <= hi_mov else (t0 - c - pl - ql, 1.0)
-                pq = ppoly.shift(t0 - c - ql)  # kernel argument (tau - z)
-                qq = qpoly.shift(ql)
-                _accumulate_pair(acc, pq.coeffs, qq.coeffs, lo_aff, hi_aff)
+                # integration bounds in data-local z, affine in tau with
+                # slope 0 or 1
+                lo_aff = (0.0, 0) if ql >= lo_mov else (t0 - c - pr - ql, 1)
+                hi_aff = (qr - ql, 0) if qr <= hi_mov else (t0 - c - pl - ql, 1)
+                pcoef = ppoly.shift(t0 - c - ql).coeffs  # argument tau - z
+                weights = _pair_weights(
+                    pcoef.shape[0] - 1, qcoef.shape[0] - 1, lo_aff, hi_aff
+                )
+                pair = pcoef[:, None] @ qcoef[None]
+                n = weights.shape[2]
+                acc[:n] += (
+                    weights.reshape(-1, n).T @ pair.reshape(-1, d * d)
+                ).reshape(n, d, d)
         pieces.append(MatrixPolynomial(acc).shift(-t0))
     return PiecewiseMatrixPolynomial(
         bks, pieces, left_value=np.zeros((d, d)), right_extension=False
     )
 
 
-def _accumulate_pair(acc, pcoef, qcoef, lo_aff, hi_aff):
-    """Add ``\\int_{lo(tau)}^{hi(tau)} P(tau - z) Q(z) dz`` to ``acc``
-    (ascending tau-coefficients)."""
-    degp = pcoef.shape[0] - 1
-    degq = qcoef.shape[0] - 1
-    kmax = degp + degq + 1
-    hip = _affine_powers(hi_aff, kmax + 1)
-    lop = _affine_powers(lo_aff, kmax + 1)
-    for al in range(degp + 1):
-        pa = pcoef[al]
-        if not pa.any():
-            continue
-        for be in range(degq + 1):
-            mat = pa @ qcoef[be]
-            if not mat.any():
-                continue
-            # (tau - z)**al expanded; each z-power integrates to a
-            # tau-polynomial through the affine bounds
-            for g in range(al + 1):
-                kz = al - g + be
-                ipoly = (hip[kz + 1] - lop[kz + 1]) / (kz + 1)
-                sgn = -1.0 if (al - g) % 2 else 1.0
-                coef = sgn * float(binomial(al, g))
-                contrib = coef * ipoly
-                acc[g : g + contrib.shape[0]] += contrib[:, None, None] * mat
+@functools.lru_cache(maxsize=128)
+def _pair_tables(p, q):
+    """Scalar tables of :func:`convolve_kernel` for a kernel piece of
+    degree ``p`` against a data piece of degree ``q``: coefficients and
+    exponents of a fixed and of a moving bound, and the Beta values with
+    their ``(i, j, i + j + 1)`` positions.  Read-only, as they are shared."""
+    i = np.arange(p + 1)[:, None, None]
+    j = np.arange(q + 1)[None, :, None]
+    g = np.arange(p + 1)[None, None, :]
+    fixed_exp = np.maximum(i - g, 0) + j + 1
+    fixed_coef = (-1.0) ** (i - g) * _PASCAL[i, g] / fixed_exp
+    o = np.arange(q + 1)[None, None, :]
+    moving_exp = i + np.maximum(j - o, 0) + 1
+    moving_coef = (-1.0) ** i * _PASCAL[j, o] / moving_exp
+    i, j = i[:, :, 0], j[:, :, 0]
+    beta = 1.0 / ((i + j + 1) * _PASCAL[i + j, i])
+    top = tuple(np.broadcast_arrays(i, j, i + j + 1))
+    for arr in (fixed_coef, fixed_exp, moving_coef, moving_exp, beta, *top):
+        arr.flags.writeable = False
+    return fixed_coef, fixed_exp, moving_coef, moving_exp, beta, top
+
+
+def _pair_weights(p, q, lo_aff, hi_aff):
+    """``W[i, j, o]``: the ``tau**o`` coefficient of ``\\int_{lo(tau)}^
+    {hi(tau)} (tau - z)**i z**j dz`` for bounds ``(h, slope)``."""
+    fixed_coef, fixed_exp, moving_coef, moving_exp, beta, top = _pair_tables(p, q)
+    w = np.zeros((p + 1, q + 1, p + q + 2))
+    for (h, slope), sign in ((hi_aff, 1.0), (lo_aff, -1.0)):
+        if slope:
+            w[:, :, : q + 1] += sign * moving_coef * h**moving_exp
+        else:
+            w[:, :, : p + 1] += sign * fixed_coef * h**fixed_exp
+    slopes = hi_aff[1] - lo_aff[1]
+    if slopes:
+        w[top] += slopes * beta
+    return w

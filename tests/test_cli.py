@@ -8,15 +8,48 @@ import json
 import numpy as np
 import pytest
 
-from delaymat import DiscreteFundamental, build_fundamental_continuous, fixtures
+from delaymat import (
+    DiscreteFundamental,
+    build_fundamental_continuous,
+    build_q_table,
+    fixtures,
+)
 from delaymat.cli import main
-from delaymat.serialize import read_trajectory_csv
+from delaymat.serialize import ppoly_to_node, read_trajectory_csv
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_with_dumps(capsys, tmp_path, *argv):
+    """Run with ``--dump-q`` and ``--dump-z``; return the two JSON nodes."""
+    qpath = tmp_path / "q.json"
+    zpath = tmp_path / "z.json"
+    code, _, _ = run_cli(
+        capsys, *argv, "--dump-q", str(qpath), "--dump-z", str(zpath)
+    )
+    assert code == 0
+    return json.loads(qpath.read_text()), json.loads(zpath.read_text())
+
+
+def assert_q_table(qnode, system, depth):
+    assert qnode["kind"] == "qtable"
+    expected = build_q_table(system.a0, system.a1, depth).mats
+    assert len(qnode["mats"]) == len(expected)
+    np.testing.assert_array_equal(np.array(qnode["mats"]), np.stack(expected))
+
+
+def assert_discrete_z_table(znode, system, first, last):
+    fund = DiscreteFundamental(system)
+    assert znode["trajectory_kind"] == "discrete"
+    assert znode["times"] == [float(u) for u in range(first, last + 1)]
+    np.testing.assert_array_equal(
+        np.array(znode["values"]),
+        np.stack([fund.value(u) for u in range(first, last + 1)]),
+    )
 
 
 class TestFundamentalCommand:
@@ -97,7 +130,37 @@ class TestFundamentalCommand:
         assert znode["breakpoints"][0] == -1.0
 
 
+    def test_discrete_dump_q_and_dump_z(self, capsys, tmp_path, ex2_files, ex2_system):
+        sys_path, _, _ = ex2_files
+        qnode, znode = run_with_dumps(
+            capsys, tmp_path, "fundamental", "--system", sys_path,
+            "--kind", "disc", "--to", "6",
+        )
+        assert_q_table(qnode, ex2_system, 3)  # ceil(6 / (m + 1)), m = 1
+        assert_discrete_z_table(znode, ex2_system, -2, 6)
+
+
 class TestSolveCommand:
+    def test_continuous_dump_q_and_dump_z(self, capsys, tmp_path, ex1_files, ex1_system):
+        sys_path, hist_path, force_path = ex1_files
+        qnode, znode = run_with_dumps(
+            capsys, tmp_path, "solve", "--system", sys_path,
+            "--history", hist_path, "--forcing", force_path,
+            "--to", "3", "--step", "0.5",
+        )
+        # the solve formula needs Z one delay past the horizon
+        assert_q_table(qnode, ex1_system, 4)
+        assert znode == ppoly_to_node(build_fundamental_continuous(ex1_system, 4.0))
+
+    def test_discrete_dump_q_and_dump_z(self, capsys, tmp_path, ex2_files, ex2_system):
+        sys_path, hist_path, force_path = ex2_files
+        qnode, znode = run_with_dumps(
+            capsys, tmp_path, "solve", "--system", sys_path,
+            "--history", hist_path, "--forcing", force_path, "--to", "5",
+        )
+        assert_q_table(qnode, ex2_system, 3)
+        assert_discrete_z_table(znode, ex2_system, -2, 5)
+
     def test_continuous_values(self, capsys, ex1_files, ex1_system):
         sys_path, hist_path, force_path = ex1_files
         code, out, _ = run_cli(

@@ -14,7 +14,6 @@ from delaymat import (
     fixtures,
     fundamental_commutative_continuous,
     fundamental_commutative_discrete,
-    fundamental_discrete,
 )
 from delaymat.errors import CommutationError, DegreeCapExceeded
 from delaymat.linalg import max_abs
@@ -121,10 +120,6 @@ class TestDiscreteValues:
         assert fund.value(5) is first
         with pytest.raises(ValueError):
             first[0, 0] = 99.0
-
-    def test_wrapper_delegates(self, ex2_system):
-        fund = DiscreteFundamental(ex2_system)
-        np.testing.assert_array_equal(fundamental_discrete(fund, 4), fund.value(4))
 
     def test_rejects_continuous_systems(self, ex1_system):
         with pytest.raises(ValueError):

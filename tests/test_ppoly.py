@@ -3,6 +3,9 @@ reparametrizations, algebra, and the exact convolution."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,30 @@ from delaymat.ppoly import (
     PiecewiseMatrixPolynomial,
     convolve_kernel,
 )
+
+
+def exact_convolution(kpieces, kbks, dcoef, a, b, t):
+    """``\\int_a^b K(t - s) D(s) ds`` in exact rational arithmetic for a
+    scalar kernel with global-basis pieces ``kpieces`` on ``kbks`` (zero
+    left of ``kbks[0]``, the last piece extended) and one data piece."""
+    total = Fraction(0)
+    for k, pcoef in enumerate(kpieces):
+        s_hi = min(b, t - kbks[k])
+        s_lo = a if k == len(kpieces) - 1 else max(a, t - kbks[k + 1])
+        if s_hi <= s_lo:
+            continue
+        # K(t - s) as coefficients in s, times D(s)
+        ks = [Fraction(0)] * len(pcoef)
+        for al, p in enumerate(pcoef):
+            for j in range(al + 1):
+                ks[j] += p * comb(al, j) * t ** (al - j) * (-1) ** j
+        prod = [Fraction(0)] * (len(ks) + len(dcoef) - 1)
+        for i, x in enumerate(ks):
+            for j, y in enumerate(dcoef):
+                prod[i + j] += x * y
+        for i, cf in enumerate(prod):
+            total += cf * (s_hi ** (i + 1) - s_lo ** (i + 1)) / (i + 1)
+    return total
 
 
 def random_ppoly(rng, d, lo, hi, n_pieces, deg):
@@ -185,6 +212,17 @@ class TestReparametrizations:
         ts = np.linspace(0.5, 3.5, 37)
         assert max_abs(once.eval(ts) - direct.eval(ts)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [0.75, -1.5, 3.0])
+    def test_high_degree_shift_matches_pointwise_translation(self, s):
+        rng = np.random.default_rng(11)
+        p = MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(27, 2, 2)))
+        ts = np.linspace(-1.0, 1.0, 17)
+        got = p.shift(s).eval(ts)
+        # rounding bound of both routes: sum_j |c_j| (|s| + |t|)**j
+        scale = MatrixPolynomial(np.abs(p.coeffs)).eval(abs(s) + np.abs(ts))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - p.eval(ts + s)) <= 16 * eps * scale)
+
     def test_shift_moves_the_domain(self):
         p = PiecewiseMatrixPolynomial(
             [0.0, 1.0], [MatrixPolynomial([[[0.0]], [[1.0]]])]
@@ -271,6 +309,13 @@ class TestDegreeCap:
         at_cap[-1] = 1.0
         MatrixPolynomial(at_cap)  # exactly at the cap is fine
 
+    def test_convolution_above_the_cap_raises(self):
+        rng = np.random.default_rng(47)
+        kernel = random_ppoly(rng, 1, -1.0, 1.0, 1, MAX_DEGREE // 2)
+        data = random_ppoly(rng, 1, 0.0, 1.0, 1, MAX_DEGREE // 2)
+        with pytest.raises(DegreeCapExceeded):
+            convolve_kernel(kernel, data, 0.0, 0.0, 1.0, 0.0, 1.0)
+
     def test_trailing_zero_coefficients_are_trimmed(self):
         p = MatrixPolynomial(np.zeros((MAX_DEGREE + 2, 1, 1)))
         assert p.degree == 0
@@ -291,6 +336,47 @@ class TestConvolution:
             refl = kernel.reflect(t - c, a - 1e-3, b + 1e-3)
             expected = refl.matmul(data.restrict(a - 1e-3, b + 1e-3)).integrate(a, b)
             np.testing.assert_allclose(out.eval(t), expected, atol=1e-10)
+
+    # (kernel breakpoints, data piece [a, b], output [0, hi)): one output
+    # interval at the origin, so no basis change enters the comparison
+    @pytest.mark.parametrize(
+        "kbks, a, b, hi",
+        [
+            pytest.param((-1, 1), 0, 0.5, 0.5, id="fixed-fixed"),
+            pytest.param((0, 1), 0, 0.5, 0.5, id="fixed-moving"),
+            pytest.param((-0.5, 0, 1), 0, 0.5, 0.5, id="moving-fixed"),
+            pytest.param((-0.25, 0, 1), 0, 1, 0.75, id="moving-moving"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scalar_pair_integrals_match_exact_reference(self, kbks, a, b, hi, seed):
+        rng = np.random.default_rng(60 + seed)
+
+        def dyadic(n):
+            return [Fraction(int(v), 64) for v in rng.integers(-64, 65, size=n)]
+
+        kpieces = [dyadic(25) for _ in kbks[:-1]]  # kernel degree 24
+        dcoef = dyadic(5)
+        kernel = PiecewiseMatrixPolynomial(
+            kbks, [MatrixPolynomial(np.array(pc, dtype=float)[:, None, None])
+                   for pc in kpieces]
+        )
+        data = PiecewiseMatrixPolynomial(
+            [a, b], [MatrixPolynomial(np.array(dcoef, dtype=float)[:, None, None])]
+        )
+        out = convolve_kernel(kernel, data, 0.0, a, b, 0.0, hi)
+        assert len(out.pieces) == 1
+        ts = [Fraction(hi) * Fraction(k, 32) for k in range(32)]
+        exact = np.array([
+            float(exact_convolution(
+                kpieces, [Fraction(x) for x in kbks], dcoef,
+                Fraction(a), Fraction(b), t,
+            ))
+            for t in ts
+        ])
+        got = out.eval(np.array(ts, dtype=float))[:, 0, 0]
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got - exact)) <= 16 * eps * np.max(np.abs(exact))
 
     def test_empty_integration_range_gives_zero(self):
         rng = np.random.default_rng(44)
