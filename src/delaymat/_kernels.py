@@ -1,17 +1,9 @@
 """Hot loops for the brute-force continuous integrator.
 
 The method-of-steps sweep below is the one genuinely hot numeric path in
-the package (everything closed-form is small symbolic algebra).  Two
-interchangeable implementations are provided:
-
-* a numba ``@njit`` kernel (sequential loops, compiled once and cached),
-* a pure-numpy fallback that vectorizes each delay window (the
-  right-hand side depends only on already-known delayed values, so the
-  window's increments can be batched and cumulative-summed).
-
-Selection is by the ``DELAYMAT_BACKEND`` environment variable:
-``auto`` (default: numba when importable), ``numba``, or ``numpy``.
-``benchmarks/bench_oracle.py`` compares the two.
+the package.  It vectorizes each delay window: the right-hand side
+depends only on already-known delayed values, so the window's increments
+are batched and cumulative-summed.
 
 Grid layout: ``x[i]`` holds the state at ``t = -sigma + i * h`` with
 ``h = sigma / n``; window ``k`` integrates ``[k sigma, (k+1) sigma]``
@@ -37,87 +29,26 @@ error.  The delayed state is continuous, so it needs no such split.
 from __future__ import annotations
 
 import logging
-import os
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def select_backend(requested=None):
-    """Resolve the backend name: ``requested`` (or ``DELAYMAT_BACKEND``)
-    in ``{auto, numba, numpy}``."""
-    mode = (requested or os.environ.get("DELAYMAT_BACKEND", "auto")).lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"unknown backend {mode!r}; expected auto, numba, or numpy"
-        )
-    if mode == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if mode == "auto":
-        mode = "numba" if HAVE_NUMBA else "numpy"
-    return mode
-
-
-def sweep(a0, a1, hist, hist_mid, g_grid, g_mid, g_end, n, windows, h,
-          backend=None):
+def sweep(a0, a1, hist, hist_mid, g_grid, g_mid, g_end, n, windows, h):
     """Run the method-of-steps sweep; returns the full state stack
     ``((windows + 1) n + 1, d, d)`` including the history rows.
 
     ``g_end[p]`` is the forcing's left limit at grid node ``p + 1`` of the
     forced range (one row per substep), used to close that substep."""
-    backend = select_backend(backend)
-    log.debug("oracle sweep: backend=%s n=%d windows=%d", backend, n, windows)
-    args = (
-        np.ascontiguousarray(a0),
-        np.ascontiguousarray(a1),
-        np.ascontiguousarray(hist),
-        np.ascontiguousarray(hist_mid),
-        np.ascontiguousarray(g_grid),
-        np.ascontiguousarray(g_mid),
-        np.ascontiguousarray(g_end),
-        n,
-        windows,
-        h,
-    )
-    if backend == "numba":
-        return _sweep_numba(*args)
-    return _sweep_numpy(*args)
-
-
-def _midpoints_numpy(y):
-    """Half-grid values from grid values by 4-point cubic interpolation
-    (needs len(y) >= 4 rows)."""
-    mid = np.empty((y.shape[0] - 1,) + y.shape[1:])
-    mid[1:-1] = (-y[:-3] + 9.0 * y[1:-2] + 9.0 * y[2:-1] - y[3:]) / 16.0
-    mid[0] = (5.0 * y[0] + 15.0 * y[1] - 5.0 * y[2] + y[3]) / 16.0
-    mid[-1] = (y[-4] - 5.0 * y[-3] + 15.0 * y[-2] + 5.0 * y[-1]) / 16.0
-    return mid
-
-
-def _sweep_numpy(a0, a1, hist, hist_mid, g_grid, g_mid, g_end, n, windows, h):
+    log.debug("oracle sweep: n=%d windows=%d", n, windows)
     d = a0.shape[0]
     x = np.zeros(((windows + 1) * n + 1, d, d))
     x[: n + 1] = hist
     for k in range(windows):
         base = (k + 1) * n
         xd = x[k * n : (k + 1) * n + 1]
-        xd_mid = hist_mid if k == 0 else _midpoints_numpy(xd)
+        xd_mid = hist_mid if k == 0 else _midpoints(xd)
         fx = a0 @ xd + xd @ a1
         f_mid = a0 @ xd_mid + xd_mid @ a1 + g_mid[k * n : (k + 1) * n]
         f_lo = fx[:-1] + g_grid[k * n : (k + 1) * n]
@@ -127,52 +58,11 @@ def _sweep_numpy(a0, a1, hist, hist_mid, g_grid, g_mid, g_end, n, windows, h):
     return x
 
 
-@njit(cache=True)
-def _sweep_numba(a0, a1, hist, hist_mid, g_grid, g_mid, g_end, n, windows, h):
-    d = a0.shape[0]
-    x = np.zeros(((windows + 1) * n + 1, d, d))
-    x[: n + 1] = hist
-    c = h / 6.0
-    for k in range(windows):
-        base = (k + 1) * n
-        dbase = k * n
-        # b_* hold only the delayed-state part a0 X + X a1; the forcing is
-        # added per side because its opening and closing values differ at
-        # jump nodes while the delayed state is continuous.
-        b_right = np.dot(a0, x[dbase]) + np.dot(x[dbase], a1)
-        for j in range(n):
-            b_left = b_right
-            if k == 0:
-                xm = hist_mid[j]
-            elif j == 0:
-                xm = (
-                    5.0 * x[dbase]
-                    + 15.0 * x[dbase + 1]
-                    - 5.0 * x[dbase + 2]
-                    + x[dbase + 3]
-                ) / 16.0
-            elif j == n - 1:
-                xm = (
-                    x[dbase + n - 3]
-                    - 5.0 * x[dbase + n - 2]
-                    + 15.0 * x[dbase + n - 1]
-                    + 5.0 * x[dbase + n]
-                ) / 16.0
-            else:
-                xm = (
-                    -x[dbase + j - 1]
-                    + 9.0 * x[dbase + j]
-                    + 9.0 * x[dbase + j + 1]
-                    - x[dbase + j + 2]
-                ) / 16.0
-            f_mid = np.dot(a0, xm) + np.dot(xm, a1) + g_mid[k * n + j]
-            xr = x[dbase + j + 1]
-            b_right = np.dot(a0, xr) + np.dot(xr, a1)
-            x[base + j + 1] = x[base + j] + c * (
-                b_left
-                + g_grid[k * n + j]
-                + 4.0 * f_mid
-                + b_right
-                + g_end[k * n + j]
-            )
-    return x
+def _midpoints(y):
+    """Half-grid values from grid values by 4-point cubic interpolation
+    (needs len(y) >= 4 rows)."""
+    mid = np.empty((y.shape[0] - 1,) + y.shape[1:])
+    mid[1:-1] = (-y[:-3] + 9.0 * y[1:-2] + 9.0 * y[2:-1] - y[3:]) / 16.0
+    mid[0] = (5.0 * y[0] + 15.0 * y[1] - 5.0 * y[2] + y[3]) / 16.0
+    mid[-1] = (y[-4] - 5.0 * y[-3] + 15.0 * y[-2] + 5.0 * y[-1]) / 16.0
+    return mid

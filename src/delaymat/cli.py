@@ -222,11 +222,11 @@ def _sample_times(start, stop, step):
 
 
 def _discrete_z_table(sys_, us):
-    fund = DiscreteFundamental(sys_)
+    """``Z(u)`` at the ascending indices ``us`` (one table, then a slice)."""
+    first = int(us[0])
+    z = DiscreteFundamental(sys_).table(first, int(us[-1]))
     return TrajectoryTable(
-        kind="discrete",
-        times=us.astype(float),
-        values=np.stack([fund.value(int(u)) for u in us]),
+        kind="discrete", times=us.astype(float), values=z[us - first]
     )
 
 

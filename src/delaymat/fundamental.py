@@ -18,6 +18,9 @@ Z(u - m) A1`` with ``Z = 0`` for ``u <= -m - 1`` and ``Z = I`` for
 
     Z(u) = sum_{r=0}^{n} C(u - (r - 1) m, r) q[r],   n = ceil(u / (m+1)).
 
+A whole index range is computed at once from a binomial matrix and the
+q stack (:meth:`DiscreteFundamental.table`).
+
 Commutative-case evaluators (`fundamental_commutative_*`) compute the
 same windows from powers of ``A0`` and ``A1`` alone; they require a
 commuting pair and exist as independently-derived cross-checks.
@@ -25,6 +28,8 @@ commuting pair and exist as independently-derived cross-checks.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import logging
 import math
 
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import CommutationError, DegreeCapExceeded
 from .linalg import binomial, commutes
-from .ppoly import MAX_DEGREE, MatrixPolynomial, PiecewiseMatrixPolynomial
+from .ppoly import _PASCAL, MAX_DEGREE, MatrixPolynomial, PiecewiseMatrixPolynomial
 from .qseq import build_q_table, q_commutative_closed_form
 
 __all__ = [
@@ -70,30 +75,35 @@ def build_fundamental_continuous(sys, horizon):
         "fundamental(continuous): d=%d sigma=%g windows=%d", d, sigma, windows
     )
 
+    # window u is sum_r q[r] (t - c_r)^r / r! with c_r = (r - 1) sigma;
+    # expand[j, r] = C(r, j) (-c_r)^(r - j) moves it to global powers
+    r = np.arange(windows + 1)
+    shift = (1.0 - r) * sigma
+    expand = _PASCAL[: windows + 1, : windows + 1].T * shift ** np.maximum(
+        r - r[:, None], 0
+    )
+    factorials = np.array(
+        [math.factorial(k) for k in range(windows + 1)], dtype=float
+    )
+    scaled = (q.mats / factorials[:, None, None]).reshape(windows + 1, d * d)
     breakpoints = sigma * np.arange(-1, windows + 1, dtype=float)
     pieces = [MatrixPolynomial.constant(np.eye(d))]
     for u in range(1, windows + 1):
-        coeffs = np.zeros((u + 1, d, d))
-        for r in range(u + 1):
-            # q[r] (t - (r-1) sigma)^r / r!, expanded into global powers
-            qr = q[r] / math.factorial(r)
-            c = -(r - 1) * sigma
-            cpow = 1.0
-            for j in range(r, -1, -1):
-                coeffs[j] += (binomial(r, j) * cpow) * qr
-                cpow *= c
-        pieces.append(MatrixPolynomial(coeffs))
+        coeffs = expand[: u + 1, : u + 1] @ scaled[: u + 1]
+        pieces.append(MatrixPolynomial(coeffs.reshape(u + 1, d, d)))
     return PiecewiseMatrixPolynomial(
         breakpoints, pieces, left_value=np.zeros((d, d)), right_extension=False
     )
 
 
 class DiscreteFundamental:
-    """Lazy evaluator for the discrete fundamental solution.
+    """Evaluator for the discrete fundamental solution.
 
-    Grows its coefficient table on demand and memoizes values by index;
-    both caches are pure-function style (an index always maps to the
-    same matrix), so sharing an instance across callers is safe.
+    :meth:`table` computes ``Z(u)`` over a whole index range from the
+    binomial matrix and the q stack; :meth:`value` reads single indices
+    from it and memoizes them.  Both caches are pure-function style (an
+    index always maps to the same matrix), so sharing an instance across
+    callers is safe.
     """
 
     def __init__(self, sys):
@@ -109,28 +119,84 @@ class DiscreteFundamental:
             self._q.append(self.system.a0 @ m + m @ self.system.a1)
         return self._q
 
-    def value(self, u):
-        """``Z(u)`` for any integer ``u``."""
-        u = int(u)
+    def table(self, lo, hi):
+        """``Z(u)`` for ``u = lo .. hi`` as a ``(hi - lo + 1, d, d)`` stack.
+
+        Raises :class:`~delaymat.errors.DegreeCapExceeded` when a
+        binomial coefficient of the sum exceeds the float range.
+        """
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
+            raise ValueError(f"empty index range {lo} .. {hi}")
         m = self.system.m
         d = self.system.dim
-        if u <= -m - 1:
-            return np.zeros((d, d))
-        if u <= 0:
-            return np.eye(d)
-        hit = self._cache.get(u)
-        if hit is not None:
-            return hit
-        n = -(-u // (m + 1))  # ceil(u / (m + 1))
-        q = self._q_upto(n)
-        out = np.zeros((d, d))
-        for r in range(n + 1):
-            c = binomial(u - (r - 1) * m, r)
-            if c:
-                out += float(c) * q[r]
-        out.setflags(write=False)
-        self._cache[u] = out
+        out = np.zeros((hi - lo + 1, d, d))
+        eye_lo, eye_hi = max(lo, -m), min(hi, 0)
+        if eye_lo <= eye_hi:
+            out[eye_lo - lo : eye_hi - lo + 1] = np.eye(d)
+        if hi >= 1:
+            # one term q[r] at a time over all rows, from the row
+            # (r-1)(m+1)+1 where it enters: each row then sums its terms
+            # in the same order whatever the range, so table and value
+            # agree bit for bit
+            start = max(lo, 1)
+            binom = _binomial_matrix(m, start, hi)
+            q = self._q_upto(binom.shape[1] - 1)
+            acc = out[start - lo :]
+            for r in range(binom.shape[1]):
+                row = max(0, (r - 1) * (m + 1) + 1 - start)
+                acc[row:] += binom[row:, r, None, None] * q[r]
         return out
+
+    def value(self, u):
+        """``Z(u)`` for any integer ``u`` (memoized, read-only)."""
+        u = int(u)
+        hit = self._cache.get(u)
+        if hit is None:
+            hit = self.table(u, u)[0]
+            hit.setflags(write=False)
+            self._cache[u] = hit
+        return hit
+
+
+#: Smallest integer that rounds to infinity as a float64.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+@functools.lru_cache(maxsize=8)
+def _binomial_matrix(m, lo, hi):
+    """Read-only ``B[u - lo, r] = C(u - (r - 1) m, r)`` for ``u = lo ..
+    hi`` (``lo >= 1``) and ``r = 0 .. ceil(hi / (m + 1))``, zero for ``r >
+    ceil(u / (m + 1))`` (the generalized binomial is not zero there, but
+    the sum stops).
+
+    Column ``r`` starts at ``u = max(lo, (r - 1)(m + 1) + 1)`` and follows
+    ``C(t + 1, r) = C(t, r) (t + 1) / (t + 1 - r)`` in exact integers
+    down the rows; each entry is rounded to float once.
+    """
+    n = -(-hi // (m + 1))
+    out = np.zeros((hi - lo + 1, n + 1))
+    overflow_u = None
+    for r in range(n + 1):
+        first = max(lo, (r - 1) * (m + 1) + 1)
+        t = first - (r - 1) * m
+        c = math.comb(t, r)
+        column = [c]
+        for t in range(t + 1, t + 1 + hi - first):
+            c = c * t // (t - r)
+            column.append(c)
+        try:
+            out[first - lo :, r] = column
+        except OverflowError:
+            u = first + bisect.bisect_left(column, _FLOAT_OVERFLOW)
+            overflow_u = u if overflow_u is None else min(overflow_u, u)
+    if overflow_u is not None:
+        raise DegreeCapExceeded(
+            f"Z(u) at u = {overflow_u} with delay m = {m} needs binomial "
+            f"coefficients C(u - (r - 1) m, r) beyond the float range"
+        )
+    out.setflags(write=False)
+    return out
 
 
 def _require_commuting(a0, a1, tol):

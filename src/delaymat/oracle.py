@@ -42,12 +42,10 @@ class IntegratorConfig:
     """Fixed-step integrator settings.
 
     ``substeps_per_delay`` is the number of steps per delay window
-    (``>= 16``); ``backend`` overrides the kernel choice (``auto``,
-    ``numba``, or ``numpy``; ``None`` defers to ``DELAYMAT_BACKEND``).
+    (``>= 16``).
     """
 
     substeps_per_delay: int = 2048
-    backend: str | None = None
 
     def __post_init__(self):
         n = int(self.substeps_per_delay)
@@ -128,8 +126,7 @@ def integrate_continuous(sys, history, forcing, horizon, config=None):
         g_end = g.eval_left(grid[n + 1 :])
 
     x = _kernels.sweep(
-        sys.a0, sys.a1, hist, hist_mid, g_grid, g_mid, g_end, n, windows, h,
-        backend=config.backend,
+        sys.a0, sys.a1, hist, hist_mid, g_grid, g_mid, g_end, n, windows, h
     )
     keep = grid <= horizon + 1e-9 * sigma
     return TrajectoryTable(kind="continuous", times=grid[keep], values=x[keep])

@@ -14,6 +14,18 @@ and the discrete solution for ``u = -m .. N`` is
          + sum_{r=-m+1}^{0} Z(u - m - r) (Psi(r) - Psi(r - 1))
          + sum_{r=1}^{u}    Z(u - m - r) G(r - 1).
 
+The two sums are one convolution with a single data sequence: with
+``D = (Psi(-m+1) - Psi(-m), .., Psi(0) - Psi(-1), G(0), .., G(N-1))``,
+
+    X(u) = Z(u) Psi(-m) + sum_{k} Z(u - 1 - k) D[k],
+
+where ``Z(v) = 0`` for ``v <= -m - 1`` cuts the sum off at ``k = u + m
+- 1``.  :func:`solve_discrete` takes ``Z(-m) .. Z(N)`` as one table and
+adds the whole contribution of each data value in one product: ``D[k]``
+multiplies the contiguous run ``Z(-m) .. Z(N - 1 - k)`` and lands on
+``X(k + 1 - m) .. X(N)``.  That is ``m + N`` products and ``O(N d^2)``
+memory, with no block-Toeplitz matrix.
+
 Both place the data to the *right* of the kernel, which is why they
 require the right coefficient ``A1`` to commute with every history and
 forcing value (:func:`validate_hypotheses` checks exactly that; scalar
@@ -309,17 +321,13 @@ def solve_discrete(
     report = validate_hypotheses(sys, hist, g, tol=hypothesis_tol)
     _enforce_hypotheses(report, allow_noncommuting_data)
 
-    fund = DiscreteFundamental(sys)
-    dpsi = np.diff(hist, axis=0)  # dpsi[i] = Psi(i - m + 1) - Psi(i - m)
-    psi_start = hist[0]
-    out = np.empty((m + n_steps + 1, d, d))
-    for u in range(-m, n_steps + 1):
-        acc = fund.value(u) @ psi_start
-        for r in range(-m + 1, 1):
-            acc = acc + fund.value(u - m - r) @ dpsi[r + m - 1]
-        for r in range(1, u + 1):
-            acc = acc + fund.value(u - m - r) @ g[r - 1]
-        out[u + m] = acc
+    z = DiscreteFundamental(sys).table(-m, n_steps)  # z[u + m] = Z(u)
+    data = np.concatenate([np.diff(hist, axis=0), g])
+    out = z @ hist[0]
+    for k in range(m + n_steps):
+        # Z(-m .. N-1-k) D[k] onto X(k+1-m .. N), as one 2-D product
+        rows = z[: m + n_steps - k].reshape(-1, d) @ data[k]
+        out[k + 1 :] += rows.reshape(-1, d, d)
     times = np.arange(-m, n_steps + 1, dtype=float)
     log.info("solve(discrete): d=%d m=%d steps=%d", d, m, n_steps)
     return TrajectoryTable(kind="discrete", times=times, values=out)

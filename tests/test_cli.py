@@ -79,6 +79,16 @@ class TestFundamentalCommand:
                 np.array(cells[1:]).reshape(2, 2), fund.value(u), err_msg=f"u={u}"
             )
 
+    def test_discrete_binomial_overflow_is_a_clean_error(self, capsys, ex2_files):
+        sys_path, _, _ = ex2_files
+        code, out, err = run_cli(
+            capsys, "fundamental", "--system", sys_path, "--kind", "disc",
+            "--to", "1600",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Z(u) at u = 1482 with delay m = 1")
+
     def test_continuous_sampling(self, capsys, ex1_files, ex1_system):
         sys_path, _, _ = ex1_files
         code, out, _ = run_cli(

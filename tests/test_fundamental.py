@@ -4,6 +4,9 @@ conventions, and the commutative-case reductions."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from delaymat import (
     fundamental_commutative_discrete,
 )
 from delaymat.errors import CommutationError, DegreeCapExceeded
-from delaymat.linalg import max_abs
+from delaymat.linalg import binomial, max_abs
 from delaymat.qseq import build_q_table
 
 
@@ -78,6 +81,42 @@ class TestContinuousWindows:
         with pytest.raises(ValueError):
             build_fundamental_continuous(ex1_system, 0.0)
 
+    def test_window_expansion_matches_exact_fractions(self):
+        """Global-power coefficients of ``sum_r q[r] (t - (r-1) sigma)^r
+        / r!`` against exact rationals of the same float inputs, up to
+        degree 25, within 8 eps of the sum of the terms' magnitudes."""
+        rng = np.random.default_rng(24)
+        d, sigma, windows = 2, 0.7, 25
+        sys = DelaySystem(
+            a0=rng.uniform(-0.5, 0.5, size=(d, d)),
+            a1=rng.uniform(-0.5, 0.5, size=(d, d)),
+            delay=sigma,
+            kind="continuous",
+        )
+        z = build_fundamental_continuous(sys, windows * sigma)
+        q = build_q_table(sys.a0, sys.a1, windows).mats
+        exact_q = [[[Fraction(x) for x in row] for row in mat] for mat in q]
+        for u in (2, 13, 24, 25):
+            got = z.pieces[u].coeffs
+            assert got.shape == (u + 1, d, d)
+            for j in range(u + 1):
+                for a in range(d):
+                    for b in range(d):
+                        terms = [
+                            math.comb(r, j)
+                            * ((1 - r) * Fraction(sigma)) ** (r - j)
+                            / math.factorial(r)
+                            * exact_q[r][a][b]
+                            for r in range(j, u + 1)
+                        ]
+                        exact = float(sum(terms))
+                        bound = 8 * np.finfo(float).eps * float(
+                            sum(abs(t) for t in terms)
+                        )
+                        assert abs(got[j, a, b] - exact) <= bound, (
+                            f"window {u}, t^{j}, entry ({a}, {b})"
+                        )
+
 
 class TestDiscreteValues:
     def test_worked_example_table(self, ex2_system):
@@ -124,6 +163,60 @@ class TestDiscreteValues:
     def test_rejects_continuous_systems(self, ex1_system):
         with pytest.raises(ValueError):
             DiscreteFundamental(ex1_system)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_table_equals_stacked_values(self, m):
+        rng = np.random.default_rng(30 + m)
+        sys = DelaySystem(
+            a0=rng.uniform(-1.0, 1.0, size=(3, 3)),
+            a1=rng.uniform(-1.0, 1.0, size=(3, 3)),
+            delay=m,
+            kind="discrete",
+        )
+        fund = DiscreteFundamental(sys)
+        lo, hi = -m - 3, 40
+        table = fund.table(lo, hi)
+        assert table.shape == (hi - lo + 1, 3, 3)
+        # fresh instances, so neither side reads the other's caches
+        values = DiscreteFundamental(sys)
+        np.testing.assert_array_equal(
+            table, np.stack([values.value(u) for u in range(lo, hi + 1)])
+        )
+        for cut in ((lo, -m - 1), (-m, 0), (1, 1), (-1, 7), (5, 40)):
+            np.testing.assert_array_equal(
+                DiscreteFundamental(sys).table(*cut),
+                table[cut[0] - lo : cut[1] - lo + 1],
+                err_msg=f"table{cut}",
+            )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_table_follows_the_binomial_sum(self, m):
+        a0 = np.array([[0.5, 1.0], [0.0, -0.25]])
+        sys = DelaySystem(a0=a0, a1=np.zeros((2, 2)), delay=m, kind="discrete")
+        table = DiscreteFundamental(sys).table(1, 30)
+        for u in range(1, 31):
+            want = sum(
+                float(binomial(u - (r - 1) * m, r)) * np.linalg.matrix_power(a0, r)
+                for r in range(-(-u // (m + 1)) + 1)
+            )
+            scale = max(1.0, max_abs(want))
+            assert max_abs(table[u - 1] - want) <= 1e-14 * scale, f"u={u}"
+
+    def test_empty_range_is_rejected(self, ex2_system):
+        with pytest.raises(ValueError):
+            DiscreteFundamental(ex2_system).table(3, 2)
+
+    def test_float_overflow_of_the_binomials_refuses(self):
+        # C(u - (r - 1), r) first exceeds the float range at u = 1482
+        sys = DelaySystem(
+            a0=0.1 * np.eye(2), a1=np.zeros((2, 2)), delay=1, kind="discrete"
+        )
+        fund = DiscreteFundamental(sys)
+        assert np.all(np.isfinite(fund.value(1481)))
+        with pytest.raises(DegreeCapExceeded, match=r"u = 1600 with delay m = 1"):
+            fund.value(1600)
+        with pytest.raises(DegreeCapExceeded, match=r"u = 1482 with delay m = 1"):
+            fund.table(-2, 1600)
 
 
 class TestCommutativeReduction:

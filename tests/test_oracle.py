@@ -1,5 +1,5 @@
 """Brute-force reference integrators: worked-example agreement, 4th-order
-convergence, kernel backend equivalence, and the literal discrete
+convergence, the vectorized sweep end to end, and the literal discrete
 recursion."""
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from delaymat import (
     solve_discrete,
     step_discrete,
 )
-from delaymat import _kernels
 from delaymat.generators import (
     random_discrete_scalar_data,
     random_scalar_forcing,
@@ -201,6 +200,8 @@ class TestDiscreteRecursion:
 
 
 class TestKernelBackends:
+    """The vectorized numpy sweep, the integrator's only kernel."""
+
     @pytest.fixture
     def problem(self):
         rng = np.random.default_rng(940)
@@ -209,37 +210,7 @@ class TestKernelBackends:
         force = random_scalar_forcing(rng, sys, 3.0)
         return sys, hist, force
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-    def test_backends_agree(self, problem):
-        sys, hist, force = problem
-        fast = integrate_continuous(
-            sys, hist, force, 3.0, IntegratorConfig(backend="numba")
-        )
-        plain = integrate_continuous(
-            sys, hist, force, 3.0, IntegratorConfig(backend="numpy")
-        )
-        assert max_abs(fast.values - plain.values) <= 1e-10
-
-    def test_env_flag_selects_the_fallback(self, monkeypatch):
-        monkeypatch.setenv("DELAYMAT_BACKEND", "numpy")
-        assert _kernels.select_backend() == "numpy"
-
-    def test_explicit_request_beats_the_env_flag(self, monkeypatch):
-        monkeypatch.setenv("DELAYMAT_BACKEND", "numpy")
-        if _kernels.HAVE_NUMBA:
-            assert _kernels.select_backend("numba") == "numba"
-        assert _kernels.select_backend("numpy") == "numpy"
-
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError):
-            _kernels.select_backend("fortran")
-
-    def test_auto_resolves_to_a_concrete_backend(self, monkeypatch):
-        monkeypatch.delenv("DELAYMAT_BACKEND", raising=False)
-        assert _kernels.select_backend("auto") in ("numba", "numpy")
-
-    def test_fallback_runs_end_to_end(self, problem, monkeypatch):
-        monkeypatch.setenv("DELAYMAT_BACKEND", "numpy")
+    def test_fallback_runs_end_to_end(self, problem):
         sys, hist, force = problem
         table = integrate_continuous(
             sys, hist, force, 3.0, IntegratorConfig(substeps_per_delay=64)
