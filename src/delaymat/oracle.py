@@ -115,19 +115,15 @@ def integrate_continuous(sys, history, forcing, horizon, config=None):
     grid = -sigma + h * np.arange((windows + 1) * n + 1)
     hist = psi.eval(grid[: n + 1])
     hist_mid = psi.eval(grid[:n] + 0.5 * h)
-    d = sys.dim
-    if g is None:
-        g_grid = np.zeros((windows * n + 1, d, d))
-        g_mid = np.zeros((windows * n, d, d))
-        g_end = np.zeros((windows * n, d, d))
-    else:
-        g_grid = g.eval(grid[n:])
-        g_mid = g.eval(grid[n:-1] + 0.5 * h)
-        g_end = g.eval_left(grid[n + 1 :])
+    window_forcing = None
+    if g is not None:
 
-    x = _kernels.sweep(
-        sys.a0, sys.a1, hist, hist_mid, g_grid, g_mid, g_end, n, windows, h
-    )
+        def window_forcing(k):
+            # window k's substeps run from grid node (k + 1) n to (k + 2) n
+            t = grid[(k + 1) * n : (k + 2) * n + 1]
+            return g.eval(t[:-1]), g.eval(t[:-1] + 0.5 * h), g.eval_left(t[1:])
+
+    x = _kernels.sweep(sys.a0, sys.a1, hist, hist_mid, window_forcing, n, windows, h)
     keep = grid <= horizon + 1e-9 * sigma
     return TrajectoryTable(kind="continuous", times=grid[keep], values=x[keep])
 

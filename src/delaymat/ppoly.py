@@ -26,7 +26,9 @@ binomial comes from one small float Pascal table built at import.  An
 argument shift is one product with a binomial-power matrix, and the
 convolution does one tensor contraction per active piece pair, with
 scalar tables that depend only on the two piece degrees and are cached
-per degree pair (see :func:`convolve_kernel`).
+per degree pair (see :func:`convolve_kernel`).  Evaluation sorts the
+times once and fills each piece's contiguous run in place with one
+power-table contraction (see :meth:`MatrixPolynomial.eval`).
 """
 
 from __future__ import annotations
@@ -103,16 +105,33 @@ class MatrixPolynomial:
     def degree(self):
         return self.coeffs.shape[0] - 1
 
-    def eval(self, t):
+    def eval(self, t, out=None):
         """Evaluate at a scalar (returns ``(d, d)``) or 1-D array of
-        times (returns ``(n, d, d)``), by Horner recursion."""
+        times (returns ``(n, d, d)``).
+
+        The power table ``t**j`` is contracted with the coefficient stack
+        in one fixed-order ``einsum``, never through BLAS, whose blocking
+        depends on the batch size: every row is bit-identical to the
+        scalar call.  ``out``, when given, is a C-contiguous
+        ``(n, d, d)`` array (such as a row slice of a larger stack) that
+        receives the values in place.
+        """
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         ts = np.atleast_1d(t)
-        out = np.zeros((ts.size,) + self.coeffs.shape[1:])
-        for c in self.coeffs[::-1]:
-            out *= ts[:, None, None]
-            out += c
+        n, d, _ = self.coeffs.shape
+        if out is None:
+            out = np.empty((ts.size, d, d))
+        elif out.shape != (ts.size, d, d) or not out.flags.c_contiguous:
+            # a reshape of anything else would be a copy, and the values lost
+            raise ValueError(f"out must be a C-contiguous ({ts.size}, {d}, {d}) array")
+        np.einsum(
+            "pk,kj->pj",
+            np.vander(ts, n, increasing=True),
+            self.coeffs.reshape(n, d * d),
+            optimize=False,
+            out=out.reshape(ts.size, d * d),
+        )
         return out[0] if scalar else out
 
     def derivative(self):
@@ -263,39 +282,42 @@ class PiecewiseMatrixPolynomial:
     def eval(self, t):
         """Evaluate at a scalar or 1-D array of times; total on the
         reals per the extension rules above."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        ts = np.atleast_1d(t)
-        d = self.dim
-        out = np.empty((ts.size, d, d))
-        idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
-        idx = np.minimum(idx, len(self.pieces) - 1)
-        left = idx < 0
-        if left.any():
-            out[left] = self.left_value
-        for k in np.unique(idx[idx >= 0]):
-            mask = idx == k
-            out[mask] = self.pieces[k].eval(ts[mask])
-        return out[0] if scalar else out
+        return self._eval(t, "left")
 
     def eval_left(self, t):
         """Left-limit evaluation: at a breakpoint this returns the value
         of the piece to the *left* (elsewhere it matches :meth:`eval`).
         Quadrature that closes a subinterval at a knot where the data
         jumps needs this one-sided value."""
+        return self._eval(t, "right")
+
+    def _eval(self, t, side):
+        """Shared body of :meth:`eval` (``side="left"``) and
+        :meth:`eval_left` (``side="right"``).
+
+        In sorted times each piece owns one contiguous run, which starts
+        at the first time that belongs to it: ``t >= breakpoints[k]`` for
+        :meth:`eval`, ``t > breakpoints[k]`` for :meth:`eval_left`.  Each
+        run is evaluated in place; unsorted input is sorted once (stably)
+        and scattered back at the end.
+        """
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         ts = np.atleast_1d(t)
+        order = None
+        if not np.all(ts[1:] >= ts[:-1]):
+            order = np.argsort(ts, kind="stable")
+            ts = ts[order]
         d = self.dim
         out = np.empty((ts.size, d, d))
-        idx = np.searchsorted(self.breakpoints, ts, side="left") - 1
-        idx = np.minimum(idx, len(self.pieces) - 1)
-        left = idx < 0
-        if left.any():
-            out[left] = self.left_value
-        for k in np.unique(idx[idx >= 0]):
-            mask = idx == k
-            out[mask] = self.pieces[k].eval(ts[mask])
+        cuts = np.searchsorted(ts, self.breakpoints[:-1], side=side)
+        out[: cuts[0]] = self.left_value
+        for piece, lo, hi in zip(self.pieces, cuts, [*cuts[1:], ts.size]):
+            if hi > lo:
+                piece.eval(ts[lo:hi], out=out[lo:hi])
+        if order is not None:
+            sorted_out, out = out, np.empty_like(out)
+            out[order] = sorted_out
         return out[0] if scalar else out
 
     # -- calculus ------------------------------------------------------

@@ -14,7 +14,7 @@ from delaymat import (
     build_q_table,
     fixtures,
 )
-from delaymat.cli import main
+from delaymat.cli import _compare_windows, main
 from delaymat.serialize import ppoly_to_node, read_trajectory_csv
 
 
@@ -348,6 +348,42 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
         assert "--random" in err
+
+
+class TestVerifyRelativeGate:
+    """`verify` gates each window on its gap relative to max(|oracle|, 1)."""
+
+    def test_relative_perturbation_of_a_large_solution_fails(self):
+        rng = np.random.default_rng(60)
+        oracle = 1e17 * (1.0 + rng.uniform(size=(6, 2, 2)))
+        masks = [np.arange(6) < 3, np.arange(6) >= 3]
+        exact_gaps, ok = _compare_windows(oracle.copy(), oracle, masks, 1e-9)
+        assert ok and exact_gaps == [(0.0, 0.0), (0.0, 0.0)]
+        closed = oracle.copy()
+        closed[4, 1, 0] *= 1.0 + 1e-6
+        gaps, ok = _compare_windows(closed, oracle, masks, 1e-9)
+        assert not ok
+        assert gaps[0] == (0.0, 0.0)
+        gap, rel = gaps[1]
+        assert gap == abs(closed[4, 1, 0] - oracle[4, 1, 0])
+        assert 0.5e-6 <= rel <= 1e-6
+
+    def test_small_windows_keep_the_absolute_test(self):
+        oracle = np.full((4, 1, 1), 0.5)
+        closed = oracle + 2e-9
+        gaps, ok = _compare_windows(closed, oracle, [np.ones(4, dtype=bool)], 1e-9)
+        assert not ok
+        assert gaps[0][0] == gaps[0][1]
+
+    def test_long_discrete_horizon_passes(self, capsys):
+        # |X| reaches about 1e17 by u = 120, where the absolute gap is
+        # about 80 while the relative gap stays near 1e-15
+        code, out, _ = run_cli(
+            capsys, "verify", "--random", "--kind", "disc", "--to", "120",
+        )
+        assert code == 0
+        assert "-> OK" in out
+        assert "relative" in out
 
 
 class TestExampleCommand:

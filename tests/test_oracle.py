@@ -199,7 +199,98 @@ class TestDiscreteRecursion:
             step_discrete(ex2_system, ex2_history, None, -2)
 
 
-class TestKernelBackends:
+def random_ppoly(rng, d, lo, hi):
+    """General (non-commuting) two-piece matrix data on ``[lo, hi]``."""
+    pieces = [
+        MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(3, d, d))) for _ in range(2)
+    ]
+    return PiecewiseMatrixPolynomial(np.linspace(lo, hi, 3), pieces)
+
+
+def reference_integrate(sys, psi, g, horizon, n):
+    """The sweep as it was before it went window-at-a-time: forcing on
+    full-horizon arrays, ``f_lo + 4 f_mid + f_hi`` increments and
+    ``np.cumsum``.  Returns the whole state stack and its grid."""
+    sigma = sys.sigma
+    windows = max(1, int(np.ceil(horizon / sigma - 1e-12)))
+    h = sigma / n
+    d = sys.dim
+    grid = -sigma + h * np.arange((windows + 1) * n + 1)
+    hist = psi.eval(grid[: n + 1])
+    hist_mid = psi.eval(grid[:n] + 0.5 * h)
+    if g is None:
+        g_grid = np.zeros((windows * n + 1, d, d))
+        g_mid = np.zeros((windows * n, d, d))
+        g_end = np.zeros((windows * n, d, d))
+    else:
+        g_grid = g.eval(grid[n:])
+        g_mid = g.eval(grid[n:-1] + 0.5 * h)
+        g_end = g.eval_left(grid[n + 1 :])
+
+    def midpoints(y):
+        mid = np.empty((y.shape[0] - 1,) + y.shape[1:])
+        mid[1:-1] = (-y[:-3] + 9.0 * y[1:-2] + 9.0 * y[2:-1] - y[3:]) / 16.0
+        mid[0] = (5.0 * y[0] + 15.0 * y[1] - 5.0 * y[2] + y[3]) / 16.0
+        mid[-1] = (y[-4] - 5.0 * y[-3] + 15.0 * y[-2] + 5.0 * y[-1]) / 16.0
+        return mid
+
+    a0, a1 = sys.a0, sys.a1
+    x = np.zeros(((windows + 1) * n + 1, d, d))
+    x[: n + 1] = hist
+    for k in range(windows):
+        base = (k + 1) * n
+        xd = x[k * n : (k + 1) * n + 1]
+        xd_mid = hist_mid if k == 0 else midpoints(xd)
+        fx = a0 @ xd + xd @ a1
+        f_mid = a0 @ xd_mid + xd_mid @ a1 + g_mid[k * n : (k + 1) * n]
+        f_lo = fx[:-1] + g_grid[k * n : (k + 1) * n]
+        f_hi = fx[1:] + g_end[k * n : (k + 1) * n]
+        inc = (h / 6.0) * (f_lo + 4.0 * f_mid + f_hi)
+        x[base + 1 : base + n + 1] = x[base] + np.cumsum(inc, axis=0)
+    return grid, x
+
+
+class TestSweepAgainstReference:
+    """The window-at-a-time sweep against the full-horizon reference
+    above: same grid, and per delay window the same values to within
+    8 eps of the window's magnitude (only the half-grid stencil sums in
+    another order)."""
+
+    @pytest.mark.parametrize("jump", [False, True])
+    @pytest.mark.parametrize("windows", [1, 2, 3])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("d", [1, 3, 8, 32])
+    def test_matches_the_reference_sweep(self, d, n, windows, jump):
+        rng = np.random.default_rng([950, d, n, windows, int(jump)])
+        sys = random_system(rng, d, "continuous", sigma=0.75, entry_scale=1.0 / d)
+        psi = random_ppoly(rng, d, -sys.sigma, 0.0)
+        horizon = windows * sys.sigma
+        g = None
+        if jump:
+            # general matrix pieces that jump on grid node n / 2 of the
+            # last window
+            knot = (windows - 0.5) * sys.sigma
+            g = PiecewiseMatrixPolynomial(
+                [0.0, knot, horizon],
+                [
+                    MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(3, d, d))),
+                    MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(2, d, d))),
+                ],
+            )
+        table = integrate_continuous(
+            sys, psi, g, horizon, IntegratorConfig(substeps_per_delay=n)
+        )
+        grid, ref = reference_integrate(sys, psi, g, horizon, n)
+        np.testing.assert_array_equal(table.times, grid)
+        eps = np.finfo(float).eps
+        for k in range(windows + 1):
+            rows = slice(k * n, (k + 1) * n + 1)
+            scale = max_abs(ref[rows])
+            err = max_abs(table.values[rows] - ref[rows])
+            assert err <= 8 * eps * scale, f"window {k}: {err / scale:.2e} rel"
+
+
+class TestNumpySweep:
     """The vectorized numpy sweep, the integrator's only kernel."""
 
     @pytest.fixture
@@ -210,7 +301,7 @@ class TestKernelBackends:
         force = random_scalar_forcing(rng, sys, 3.0)
         return sys, hist, force
 
-    def test_fallback_runs_end_to_end(self, problem):
+    def test_runs_end_to_end(self, problem):
         sys, hist, force = problem
         table = integrate_continuous(
             sys, hist, force, 3.0, IntegratorConfig(substeps_per_delay=64)

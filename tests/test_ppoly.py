@@ -163,6 +163,80 @@ class TestEvaluationSemantics:
             )
 
 
+class TestBatchIndependentEvaluation:
+    """A row of a batched evaluation is the scalar call, whatever the
+    batch around it: order, repeats, knots and the two outer regions."""
+
+    @pytest.mark.parametrize("d", [1, 8, 32])
+    def test_every_row_equals_the_scalar_call(self, d):
+        rng = np.random.default_rng(300 + d)
+        p = random_ppoly(rng, d, -1.0, 2.0, 4, 5)
+        bks = p.breakpoints
+        ts = np.concatenate([
+            rng.uniform(-1.5, 2.5, size=30),
+            bks,
+            bks[::-1],
+            [-3.0, -1.0 - 1e-9, 2.0 + 1e-9, 5.0],
+        ])
+        ts = rng.permutation(np.concatenate([ts, ts[:7]]))
+        for name in ("eval", "eval_left"):
+            stacked = getattr(p, name)(ts)
+            assert stacked.shape == (ts.size, d, d)
+            for i, t in enumerate(ts):
+                np.testing.assert_array_equal(
+                    stacked[i], getattr(p, name)(t), err_msg=f"{name} at t={t}"
+                )
+            np.testing.assert_array_equal(getattr(p, name)(np.sort(ts)),
+                                          stacked[np.argsort(ts, kind="stable")])
+
+    def test_knots_pick_the_documented_side(self):
+        rng = np.random.default_rng(311)
+        p = random_ppoly(rng, 3, -1.0, 2.0, 4, 5)
+        bks = p.breakpoints
+        right = p.eval(bks)
+        left = p.eval_left(bks)
+        np.testing.assert_array_equal(left[0], p.left_value)
+        for k in range(1, bks.size):
+            np.testing.assert_array_equal(
+                right[k], p.pieces[min(k, len(p.pieces) - 1)].eval(bks[k])
+            )
+            np.testing.assert_array_equal(left[k], p.pieces[k - 1].eval(bks[k]))
+        np.testing.assert_array_equal(right[0], p.pieces[0].eval(bks[0]))
+
+    def test_evaluates_into_a_row_slice(self):
+        rng = np.random.default_rng(312)
+        poly = MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(4, 2, 2)))
+        ts = np.linspace(-1.0, 1.0, 5)
+        stack = np.zeros((9, 2, 2))
+        got = poly.eval(ts, out=stack[2:7])
+        assert np.shares_memory(got, stack)
+        np.testing.assert_array_equal(stack[2:7], poly.eval(ts))
+        assert not stack[:2].any() and not stack[7:].any()
+        with pytest.raises(ValueError):
+            poly.eval(ts, out=np.zeros((5, 2, 4))[:, :, ::2])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_high_degree_power_sum_matches_exact_reference(self, seed):
+        # degree 26 at |t| <= 24: the power-table contraction stays within
+        # 4 (deg + 1) eps of the absolute term sum
+        rng = np.random.default_rng(320 + seed)
+        deg = 26
+        coeffs = rng.uniform(-1.0, 1.0, size=(deg + 1, 2, 2))
+        poly = MatrixPolynomial(coeffs)
+        ts = np.concatenate([rng.uniform(-24.0, 24.0, size=40), [-24.0, 24.0, 0.0]])
+        got = poly.eval(ts)
+        eps = np.finfo(float).eps
+        for i, t in enumerate(ts):
+            tf = Fraction(float(t))
+            for r in range(2):
+                for c in range(2):
+                    cs = [Fraction(float(x)) for x in coeffs[:, r, c]]
+                    exact = sum(cf * tf**j for j, cf in enumerate(cs))
+                    scale = sum(abs(cf) * abs(tf) ** j for j, cf in enumerate(cs))
+                    err = abs(Fraction(float(got[i, r, c])) - exact)
+                    assert err <= 4 * (deg + 1) * eps * scale, (t, r, c)
+
+
 class TestCalculus:
     def test_derivative_antiderivative_roundtrip(self):
         rng = np.random.default_rng(5)
