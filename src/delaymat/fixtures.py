@@ -186,7 +186,9 @@ def example1_history():
     """History ``Psi(t) = t I`` on ``[-1, 0]``."""
     d = 2
     ramp = MatrixPolynomial(np.stack([np.zeros((d, d)), np.eye(d)]))
-    ppoly = PiecewiseMatrixPolynomial([-1.0, 0.0], [ramp], left_value=-np.eye(d))
+    ppoly = PiecewiseMatrixPolynomial.from_global(
+        [-1.0, 0.0], [ramp], left_value=-np.eye(d)
+    )
     return HistorySpec.from_ppoly(ppoly)
 
 

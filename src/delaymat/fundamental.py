@@ -10,7 +10,11 @@ is the polynomial
 with ``q`` from :func:`~delaymat.qseq.build_q_table` — a delayed matrix
 exponential whose coefficients are the operator iterates instead of the
 powers of a single matrix (those coincide only when ``A0`` and ``A1``
-commute, or when one of them vanishes).
+commute, or when one of them vanishes).  :func:`build_fundamental_continuous`
+obtains it from the repeated-integration routine
+:func:`~delaymat.ppoly.convolve_kernel` with ``Phi_0 = I`` from ``-sigma``
+on, which stores window ``u`` in its local variable ``tau = t - (u-1)
+sigma`` as ``sum_r q[r] (tau + (u - r) sigma)**r / r!``.
 
 The discrete fundamental solution solves ``ΔZ(u) = A0 Z(u - m) +
 Z(u - m) A1`` with ``Z = 0`` for ``u <= -m - 1`` and ``Z = I`` for
@@ -37,7 +41,12 @@ import numpy as np
 
 from .errors import CommutationError, DegreeCapExceeded
 from .linalg import binomial, commutes
-from .ppoly import _PASCAL, MAX_DEGREE, MatrixPolynomial, PiecewiseMatrixPolynomial
+from .ppoly import (
+    MAX_DEGREE,
+    MatrixPolynomial,
+    PiecewiseMatrixPolynomial,
+    convolve_kernel,
+)
 from .qseq import build_q_table, q_commutative_closed_form
 
 __all__ = [
@@ -48,6 +57,20 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+
+def delay_windows(horizon, sigma):
+    """The number ``U = ceil(horizon / sigma)`` (at least 1) of delay
+    windows that cover ``[0, horizon]``.  Each window adds one polynomial
+    degree, so more than :data:`~delaymat.ppoly.MAX_DEGREE` of them raise
+    :class:`~delaymat.errors.DegreeCapExceeded`."""
+    windows = max(1, math.ceil(horizon / sigma - 1e-12))
+    if windows > MAX_DEGREE:
+        raise DegreeCapExceeded(
+            f"horizon {horizon} spans {windows} delay windows; the degree "
+            f"cap allows at most {MAX_DEGREE}"
+        )
+    return windows
 
 
 def build_fundamental_continuous(sys, horizon):
@@ -64,36 +87,18 @@ def build_fundamental_continuous(sys, horizon):
         raise ValueError(f"horizon must be positive, got {horizon}")
     sigma = sys.sigma
     d = sys.dim
-    windows = max(1, math.ceil(horizon / sigma - 1e-12))
-    if windows > MAX_DEGREE:
-        raise DegreeCapExceeded(
-            f"horizon {horizon} spans {windows} delay windows; the degree "
-            f"cap allows at most {MAX_DEGREE}"
-        )
+    windows = delay_windows(horizon, sigma)
     q = build_q_table(sys.a0, sys.a1, windows)
     log.debug(
         "fundamental(continuous): d=%d sigma=%g windows=%d", d, sigma, windows
     )
-
-    # window u is sum_r q[r] (t - c_r)^r / r! with c_r = (r - 1) sigma;
-    # expand[j, r] = C(r, j) (-c_r)^(r - j) moves it to global powers
-    r = np.arange(windows + 1)
-    shift = (1.0 - r) * sigma
-    expand = _PASCAL[: windows + 1, : windows + 1].T * shift ** np.maximum(
-        r - r[:, None], 0
+    # Z(t) = sum_r q[r] Phi_r(t - r sigma) with Phi_0 = I from -sigma on
+    identity = PiecewiseMatrixPolynomial(
+        [-sigma, windows * sigma],
+        [MatrixPolynomial.constant(np.eye(d))],
+        right_extension=True,
     )
-    factorials = np.array(
-        [math.factorial(k) for k in range(windows + 1)], dtype=float
-    )
-    scaled = (q.mats / factorials[:, None, None]).reshape(windows + 1, d * d)
-    breakpoints = sigma * np.arange(-1, windows + 1, dtype=float)
-    pieces = [MatrixPolynomial.constant(np.eye(d))]
-    for u in range(1, windows + 1):
-        coeffs = expand[: u + 1, : u + 1] @ scaled[: u + 1]
-        pieces.append(MatrixPolynomial(coeffs.reshape(u + 1, d, d)))
-    return PiecewiseMatrixPolynomial(
-        breakpoints, pieces, left_value=np.zeros((d, d)), right_extension=False
-    )
+    return convolve_kernel(q.mats, sigma, identity, -sigma, windows * sigma)
 
 
 class DiscreteFundamental:

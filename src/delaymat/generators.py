@@ -56,7 +56,8 @@ def random_commuting_polynomial_pair(rng, d, *, integer=False):
 
 
 def _scalar_ppoly(rng, d, lo, hi, deg, n_pieces=1, c1=False):
-    """Scalar-multiple-of-identity piecewise polynomial on [lo, hi].
+    """Scalar-multiple-of-identity piecewise polynomial on [lo, hi],
+    drawn in the global variable and converted to local pieces.
 
     With ``c1=True`` the pieces are glued C^1 (value and slope matched
     at the knots) so the result qualifies as a continuous history.
@@ -81,7 +82,7 @@ def _scalar_ppoly(rng, d, lo, hi, deg, n_pieces=1, c1=False):
                 coef[0] -= want * t
         pieces.append(MatrixPolynomial(coef[:, None, None] * eye))
         prev = pieces[-1].coeffs[:, 0, 0]
-    return PiecewiseMatrixPolynomial(
+    return PiecewiseMatrixPolynomial.from_global(
         bks, pieces, left_value=pieces[0].eval(lo), right_extension=False
     )
 

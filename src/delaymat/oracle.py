@@ -124,8 +124,9 @@ def integrate_continuous(sys, history, forcing, horizon, config=None):
             return g.eval(t[:-1]), g.eval(t[:-1] + 0.5 * h), g.eval_left(t[1:])
 
     x = _kernels.sweep(sys.a0, sys.a1, hist, hist_mid, window_forcing, n, windows, h)
-    keep = grid <= horizon + 1e-9 * sigma
-    return TrajectoryTable(kind="continuous", times=grid[keep], values=x[keep])
+    # the kept rows are a prefix of the increasing grid: return views
+    stop = int(np.searchsorted(grid, horizon + 1e-9 * sigma, side="right"))
+    return TrajectoryTable(kind="continuous", times=grid[:stop], values=x[:stop])
 
 
 def step_discrete(sys, history, forcing, n_steps):

@@ -3,16 +3,18 @@
 The closed-form solutions produced by this package are exactly piecewise
 polynomial in time: matrix-valued polynomials on half-open segments
 ``[t_k, t_{k+1})`` glued at delay-multiple knots.  This module supplies
-that representation plus the exact calculus the solver needs — pointwise
-evaluation, differentiation, definite integration, argument shifts and
-reflections, products, and the one nontrivial primitive, an exact
-sliding-window convolution against a piecewise-polynomial kernel.
+that representation, pointwise evaluation and differentiation, and the
+one nontrivial primitive, :func:`convolve_kernel`: the convolution of
+the fundamental kernel with piecewise-polynomial data, evaluated by
+repeated integration.
 
 Representation choices:
 
-* coefficients are stored in the monomial basis of the global time
-  variable, one coefficient stack per segment (conversion from shifted
-  powers happens once, at construction);
+* each segment's coefficients are stored in the monomial basis of its
+  *local* variable ``tau = t - breakpoints[k]`` (the convention of
+  ``scipy.interpolate.PPoly``), so a coefficient never carries powers of
+  the distance to the origin; :meth:`PiecewiseMatrixPolynomial.from_global`
+  converts pieces written in the global variable once, on construction;
 * segments are half-open on the right, a constant ``left_value`` applies
   strictly below the first breakpoint, and the last segment's polynomial
   extends beyond the last breakpoint (evaluation is total on the reals);
@@ -22,18 +24,15 @@ Representation choices:
   than silently losing precision.
 
 The calculus is array algebra over the coefficient stacks.  Every
-binomial comes from one small float Pascal table built at import.  An
-argument shift is one product with a binomial-power matrix, and the
-convolution does one tensor contraction per active piece pair, with
-scalar tables that depend only on the two piece degrees and are cached
-per degree pair (see :func:`convolve_kernel`).  Evaluation sorts the
-times once and fills each piece's contiguous run in place with one
-power-table contraction (see :meth:`MatrixPolynomial.eval`).
+binomial comes from one small float Pascal table built at import, and
+every re-expansion of a polynomial at another point is one product with
+a binomial-power matrix.  Evaluation sorts the times once and fills each
+piece's contiguous run in place with one power-table contraction (see
+:meth:`MatrixPolynomial.eval`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -51,11 +50,20 @@ __all__ = [
 MAX_DEGREE = 64
 
 #: ``_PASCAL[n, k] = C(n, k)`` as floats (zero for ``k > n``), for every
-#: binomial the shifts and the convolution pair kernel use.
+#: binomial the re-expansions use.
 _PASCAL = np.array(
-    [[math.comb(n, k) for k in range(MAX_DEGREE + 4)] for n in range(MAX_DEGREE + 4)],
+    [[math.comb(n, k) for k in range(MAX_DEGREE + 1)] for n in range(MAX_DEGREE + 1)],
     dtype=float,
 )
+
+
+def _shift_matrices(s, n):
+    """``S[m, i, j] = C(j, i) s[m]**(j - i)`` (zero below the diagonal):
+    ``S[m] @ c`` re-expands the coefficients ``c`` of ``p(x)`` as those of
+    ``p(x + s[m])``.  ``s = 0`` gives the identity exactly."""
+    e = np.arange(n)
+    powers = np.asarray(s, dtype=float)[:, None] ** e
+    return _PASCAL[:n, :n].T * powers[:, np.maximum(e[None, :] - e[:, None], 0)]
 
 
 class MatrixPolynomial:
@@ -77,9 +85,8 @@ class MatrixPolynomial:
         n = coeffs.shape[0]
         if n == 0:
             raise DimensionMismatch("need at least one coefficient")
-        while n > 1 and not coeffs[n - 1].any():
-            n -= 1
-        coeffs = coeffs[:n]
+        nonzero = np.flatnonzero(coeffs.reshape(n, -1).any(axis=1))
+        coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
         if coeffs.shape[0] - 1 > MAX_DEGREE:
             raise DegreeCapExceeded(
                 f"degree {coeffs.shape[0] - 1} exceeds the cap {MAX_DEGREE}"
@@ -153,17 +160,9 @@ class MatrixPolynomial:
         if s == 0.0:
             return self
         n = self.coeffs.shape[0]
-        e = np.arange(n)
-        spow = float(s) ** np.maximum(e[None, :] - e[:, None], 0)
-        smat = _PASCAL[:n, :n].T * spow
         flat = self.coeffs.reshape(n, -1)
-        return MatrixPolynomial((smat @ flat).reshape(self.coeffs.shape))
-
-    def reflect(self):
-        """Return ``q(t) = p(-t)``."""
-        out = self.coeffs.copy()
-        out[1::2] *= -1.0
-        return MatrixPolynomial(out)
+        shifted = _shift_matrices([s], n)[0] @ flat
+        return MatrixPolynomial(shifted.reshape(self.coeffs.shape))
 
     def scale(self, c):
         return MatrixPolynomial(self.coeffs * float(c))
@@ -176,28 +175,6 @@ class MatrixPolynomial:
         """Constant right factor: ``p(t) @ mat``."""
         return MatrixPolynomial(self.coeffs @ np.asarray(mat, dtype=float))
 
-    def matmul(self, other):
-        """Pointwise matrix product ``p(t) @ q(t)`` (order preserved)."""
-        if self.dim != other.dim:
-            raise DimensionMismatch("polynomial dimensions differ")
-        n = self.coeffs.shape[0] + other.coeffs.shape[0] - 1
-        out = np.zeros((n, self.dim, self.dim))
-        for i, ci in enumerate(self.coeffs):
-            if not ci.any():
-                continue
-            out[i : i + other.coeffs.shape[0]] += ci @ other.coeffs
-        return MatrixPolynomial(out)
-
-    def __add__(self, other):
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        out = np.zeros((n, self.dim, self.dim))
-        out[: self.coeffs.shape[0]] += self.coeffs
-        out[: other.coeffs.shape[0]] += other.coeffs
-        return MatrixPolynomial(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
     def __repr__(self):
         return f"MatrixPolynomial(degree={self.degree}, dim={self.dim})"
 
@@ -205,12 +182,12 @@ class MatrixPolynomial:
 class PiecewiseMatrixPolynomial:
     """Matrix-valued piecewise polynomial on half-open segments.
 
-    ``pieces[k]`` applies on ``[breakpoints[k], breakpoints[k+1])``; the
-    constant ``left_value`` applies for ``t < breakpoints[0]``; the last
-    piece extends for ``t >= breakpoints[-1]`` (``right_extension``
-    records whether that extension is semantically exact, e.g. a
-    constant forcing term, or merely the natural polynomial
-    continuation).
+    ``pieces[k]`` applies on ``[breakpoints[k], breakpoints[k+1])`` as a
+    polynomial in the local variable ``t - breakpoints[k]``; the constant
+    ``left_value`` applies for ``t < breakpoints[0]``; the last piece
+    extends for ``t >= breakpoints[-1]`` (``right_extension`` records
+    whether that extension is semantically exact, e.g. a constant forcing
+    term, or merely the natural polynomial continuation).
     """
 
     __slots__ = ("breakpoints", "pieces", "left_value", "right_extension")
@@ -247,6 +224,14 @@ class PiecewiseMatrixPolynomial:
         self.left_value = left_value
         self.right_extension = bool(right_extension)
 
+    @classmethod
+    def from_global(cls, breakpoints, pieces, left_value=None, right_extension=False):
+        """Build from pieces written in the global variable ``t``: each
+        piece is re-expanded once at its own breakpoint."""
+        out = cls(breakpoints, pieces, left_value, right_extension)
+        out.pieces = [p.shift(b) for p, b in zip(out.pieces, out.breakpoints)]
+        return out
+
     @property
     def dim(self):
         return self.pieces[0].dim
@@ -271,14 +256,6 @@ class PiecewiseMatrixPolynomial:
         idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return min(idx, len(self.pieces) - 1)
 
-    def piece_at(self, t):
-        """The polynomial active at scalar ``t`` (the left region is a
-        constant polynomial)."""
-        k = self.piece_index(t)
-        if k < 0:
-            return MatrixPolynomial.constant(self.left_value)
-        return self.pieces[k]
-
     def eval(self, t):
         """Evaluate at a scalar or 1-D array of times; total on the
         reals per the extension rules above."""
@@ -298,8 +275,9 @@ class PiecewiseMatrixPolynomial:
         In sorted times each piece owns one contiguous run, which starts
         at the first time that belongs to it: ``t >= breakpoints[k]`` for
         :meth:`eval`, ``t > breakpoints[k]`` for :meth:`eval_left`.  Each
-        run is evaluated in place; unsorted input is sorted once (stably)
-        and scattered back at the end.
+        run is evaluated in place at its local times ``t - breakpoints[k]``;
+        unsorted input is sorted once (stably) and scattered back at the
+        end.
         """
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
@@ -312,9 +290,11 @@ class PiecewiseMatrixPolynomial:
         out = np.empty((ts.size, d, d))
         cuts = np.searchsorted(ts, self.breakpoints[:-1], side=side)
         out[: cuts[0]] = self.left_value
-        for piece, lo, hi in zip(self.pieces, cuts, [*cuts[1:], ts.size]):
+        for piece, origin, lo, hi in zip(
+            self.pieces, self.breakpoints, cuts, [*cuts[1:], ts.size]
+        ):
             if hi > lo:
-                piece.eval(ts[lo:hi], out=out[lo:hi])
+                piece.eval(ts[lo:hi] - origin, out=out[lo:hi])
         if order is not None:
             sorted_out, out = out, np.empty_like(out)
             out[order] = sorted_out
@@ -333,73 +313,10 @@ class PiecewiseMatrixPolynomial:
             right_extension=self.right_extension,
         )
 
-    def integrate(self, a, b):
-        """Exact ``\\int_a^b`` as a ``(d, d)`` matrix; requires ``a <= b``."""
-        if not np.isfinite(a) or not np.isfinite(b):
-            raise ValueError("integration bounds must be finite")
-        if b < a:
-            raise ValueError(f"need a <= b, got a={a}, b={b}")
-        total = np.zeros((self.dim, self.dim))
-        hi = min(b, self.start)
-        if hi > a:
-            total += self.left_value * (hi - a)
-        lo = max(a, self.start)
-        if b > lo:
-            for seg_lo, seg_hi, poly in self.pieces_in(lo, b):
-                anti = poly.antiderivative()
-                total += anti.eval(seg_hi) - anti.eval(seg_lo)
-        return total
-
-    # -- reparametrizations ---------------------------------------------
-
-    def shift(self, s):
-        """Return ``q(t) = p(t + s)`` (a piece on ``[0, 1)`` with
-        ``s = 1`` becomes a piece on ``[-1, 0)``)."""
-        return PiecewiseMatrixPolynomial(
-            self.breakpoints - s,
-            [p.shift(s) for p in self.pieces],
-            left_value=self.left_value,
-            right_extension=self.right_extension,
-        )
-
-    def reflect(self, center, lo, hi):
-        """Materialize ``q(s) = p(center - s)`` on ``[lo, hi)``.
-
-        Reflection swaps the roles of the two extension rules, so the
-        result is built over an explicit finite window (with the left
-        region and right extension of ``p`` expanded into concrete
-        segments).  Values at the new knots follow the half-open-on-the-
-        right convention; for continuous ``p`` this is the pointwise
-        reflection everywhere.
-        """
-        if not lo < hi:
-            raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-        segs = self.pieces_in(center - hi, center - lo)
-        bks = [lo]
-        pieces = []
-        for seg_lo, seg_hi, poly in reversed(segs):
-            bks.append(min(center - seg_lo, hi))
-            pieces.append(poly.reflect().shift(-center))
-        bks[-1] = hi
-        return PiecewiseMatrixPolynomial(
-            bks, pieces, left_value=pieces[0].eval(lo), right_extension=False
-        )
-
-    def restrict(self, lo, hi):
-        """The same function re-anchored on breakpoints spanning
-        exactly ``[lo, hi)``."""
-        segs = self.pieces_in(lo, hi)
-        bks = [seg[0] for seg in segs] + [hi]
-        return PiecewiseMatrixPolynomial(
-            bks,
-            [seg[2] for seg in segs],
-            left_value=self.left_value,
-            right_extension=self.right_extension and hi >= self.end,
-        )
-
     def pieces_in(self, lo, hi):
         """Cover ``[lo, hi)`` by ``(seg_lo, seg_hi, polynomial)`` triples,
-        materializing the constant left region and the right extension."""
+        each polynomial in the local variable ``t - seg_lo``, materializing
+        the constant left region and the right extension."""
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi})")
         bp = self.breakpoints
@@ -415,47 +332,10 @@ class PiecewiseMatrixPolynomial:
             a = max(seg_lo, lo)
             b = min(seg_hi, hi)
             if b > a:
-                out.append((float(a), float(b), poly))
+                out.append((float(a), float(b), poly.shift(a - seg_lo)))
         return out
 
     # -- algebra ---------------------------------------------------------
-
-    def _binary(self, other, combine, left):
-        if self.dim != other.dim:
-            raise DimensionMismatch("operand dimensions differ")
-        lo = max(self.start, other.start)
-        hi = min(self.end, other.end)
-        if not lo < hi:
-            raise ValueError("operand domains do not overlap")
-        knots = np.concatenate(
-            [
-                [lo, hi],
-                self.breakpoints[(self.breakpoints > lo) & (self.breakpoints < hi)],
-                other.breakpoints[(other.breakpoints > lo) & (other.breakpoints < hi)],
-            ]
-        )
-        bks = _merge_breakpoints(knots, lo, hi)
-        pieces = []
-        for k in range(len(bks) - 1):
-            tm = 0.5 * (bks[k] + bks[k + 1])
-            pieces.append(combine(self.piece_at(tm), other.piece_at(tm)))
-        return PiecewiseMatrixPolynomial(bks, pieces, left_value=left)
-
-    def __add__(self, other):
-        return self._binary(
-            other, lambda p, q: p + q, self.left_value + other.left_value
-        )
-
-    def __sub__(self, other):
-        return self._binary(
-            other, lambda p, q: p - q, self.left_value - other.left_value
-        )
-
-    def matmul(self, other):
-        """Pointwise product ``p(t) @ q(t)`` on the common domain."""
-        return self._binary(
-            other, lambda p, q: p.matmul(q), self.left_value @ other.left_value
-        )
 
     def scale(self, c):
         return PiecewiseMatrixPolynomial(
@@ -488,13 +368,13 @@ class PiecewiseMatrixPolynomial:
     def knot_jumps(self):
         """Max-abs value jump at each interior breakpoint (useful for
         continuity diagnostics)."""
-        jumps = []
-        for k in range(1, len(self.pieces)):
-            t = self.breakpoints[k]
-            jumps.append(
-                float(np.max(np.abs(self.pieces[k].eval(t) - self.pieces[k - 1].eval(t))))
-            )
-        return np.asarray(jumps)
+        widths = np.diff(self.breakpoints)
+        return np.asarray([
+            float(np.max(np.abs(
+                self.pieces[k].eval(0.0) - self.pieces[k - 1].eval(widths[k - 1])
+            )))
+            for k in range(1, len(self.pieces))
+        ])
 
     def __repr__(self):
         return (
@@ -518,155 +398,91 @@ def _merge_breakpoints(values, lo, hi):
     return np.asarray(keep)
 
 
-def convolve_kernel(kernel, data, c, a, b, out_lo, out_hi):
-    """Exact ``H(t) = \\int_a^b kernel(t - c - s) @ data(s) ds`` on
-    ``[out_lo, out_hi)``.
+def running_antiderivative(coeffs, widths, start=None):
+    """Local coefficients of ``x -> start + \\int_{b_0}^x p`` for the
+    piecewise polynomial ``p`` whose piece ``k`` has the local
+    coefficients ``coeffs[k]`` (shape ``(K, n, d, d)``) and the width
+    ``widths[k]``: each piece's own antiderivative plus the integral over
+    the pieces before it.  Returns a ``(K, n + 1, d, d)`` stack."""
+    n = coeffs.shape[1]
+    out = np.zeros((coeffs.shape[0], n + 1) + coeffs.shape[2:])
+    out[:, 1:] = coeffs / np.arange(1, n + 1, dtype=float)[:, None, None]
+    powers = np.asarray(widths, dtype=float)[:, None] ** np.arange(1, n + 1)
+    totals = np.einsum("kj,kjab->kab", powers, out[:, 1:])
+    out[1:, 0] = np.cumsum(totals[:-1], axis=0)
+    if start is not None:
+        out[:, 0] += start
+    return out
 
-    This is the sliding-window convolution behind the solution formulas:
-    the kernel is a fundamental solution evaluated at a shifted,
-    reflected argument, and the data is a history derivative or forcing
-    term.  Both factors are piecewise polynomial, so the integral is one
-    too: its breakpoints are the admissible sums ``c + (kernel knot) +
-    (data knot)``, and between consecutive breakpoints the active piece
-    pair is fixed while the integration bounds are affine in ``t`` with
-    slope 0 or 1.
 
-    Everything is expanded exactly.  Per-interval work happens in
-    interval-local coordinates (local output time ``tau = t - t0``,
-    data-piece-local integration variable ``z = s - ql``) so the binomial
-    expansions stay well conditioned; each resulting piece is converted
-    to the global time variable once.
+def convolve_kernel(q, sigma, phi0, lo, hi):
+    """The convolution of the fundamental kernel with piecewise
+    polynomial data, ``X(t) = sum_r q[r] Phi_r(t - r sigma)``, on
+    ``[lo, hi)``.
 
-    Each active piece pair is one tensor contraction.  With the kernel
-    piece ``P(x) = sum_i P_i x**i`` (degree ``p``) written so that its
-    argument is ``tau - z``, and the data piece ``Q(z) = sum_j Q_j z**j``
-    (degree ``q``),
+    ``q`` is the ``(U + 1, d, d)`` stack of operator iterates.  ``Phi_0``
+    is ``phi0`` on and after its first breakpoint and zero before it (its
+    ``left_value`` is not used), and ``Phi_{r+1}`` is the antiderivative
+    of ``Phi_r`` taken from that breakpoint.  Every ``Phi_r`` shares the
+    data knots, so they are one ``(U + 1, K, n, d, d)`` array of local
+    coefficients, each built from the one before by
+    :func:`running_antiderivative`.
 
-        acc[o] += sum_{i, j} W[i, j, o] (P_i @ Q_j),
-
-    where ``W[i, j, :]`` holds the tau-coefficients of
-    ``\\int_lo^hi (tau - z)**i z**j dz``.  ``W`` is the z-antiderivative
-    at the upper bound minus the same at the lower bound, and each bound
-    term has a closed form without any sum:
-
-    * a fixed bound ``z = h`` contributes
-      ``(-1)**(i-g) C(i, g) h**(i-g+j+1) / (i-g+j+1)`` to ``tau**g``;
-    * a moving bound ``z = tau + h`` (where the kernel argument is the
-      constant ``-h``) contributes ``(-1)**i C(j, o) h**(i+j-o+1) /
-      (i+j-o+1)`` to ``tau**o`` for ``o <= j``, plus the Beta value
-      ``i! j! / (i+j+1)!`` to ``tau**(i+j+1)``.
-
-    The signed binomials, the exponents and the Beta values depend only
-    on ``(p, q)`` and are cached per degree pair.  A pair then costs one
-    power of each bound, one batched product ``P[:, None] @ Q[None]`` and
-    one matrix product ``W.T @ M``.  Matrix factor order is preserved:
-    kernel values multiply data values from the left.
+    The output knots are the data knots shifted by every ``r sigma``.  On
+    an output interval starting at ``t0``, term ``r`` is the ``Phi_r``
+    piece that holds ``t0 - r sigma``, re-expanded at that point: a shift
+    shorter than one data piece, and exactly zero where the knots line
+    up.  The terms are added for one ``r`` at a time over all output
+    intervals, so memory stays at one coefficient stack per interval.
+    ``q[r]`` multiplies the data from the left, as in the representation
+    formula.
     """
-    if kernel.dim != data.dim:
-        raise DimensionMismatch("kernel and data dimensions differ")
-    if not out_lo < out_hi:
-        raise ValueError(f"need out_lo < out_hi, got [{out_lo}, {out_hi})")
-    if b < a:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    d = kernel.dim
-    if b == a:
-        return PiecewiseMatrixPolynomial(
-            [out_lo, out_hi],
-            [MatrixPolynomial.zero(d)],
-            left_value=np.zeros((d, d)),
+    q = np.asarray(q, dtype=float)
+    d = phi0.dim
+    if q.ndim != 3 or q.shape[1:] != (d, d):
+        raise DimensionMismatch(
+            f"q must have shape (U + 1, {d}, {d}) to match the data, got {q.shape}"
         )
-
-    qsegs = data.pieces_in(a, b)
-    psegs = kernel.pieces_in(out_lo - c - b, out_hi - c - a)
-
-    knots = {float(out_lo), float(out_hi)}
-    pedges = sorted({s[0] for s in psegs} | {s[1] for s in psegs})
-    qedges = sorted({s[0] for s in qsegs} | {s[1] for s in qsegs})
-    for pe in pedges:
-        for qe in qedges:
-            th = c + pe + qe
-            if out_lo < th < out_hi:
-                knots.add(float(th))
-    bks = _merge_breakpoints(np.asarray(sorted(knots)), out_lo, out_hi)
-
-    max_deg = (
-        max(s[2].degree for s in psegs) + max(s[2].degree for s in qsegs) + 1
-    )
-    if max_deg > MAX_DEGREE:
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi})")
+    windows = q.shape[0] - 1
+    n = max(p.degree for p in phi0.pieces) + windows + 1
+    if n - 1 > MAX_DEGREE:
         raise DegreeCapExceeded(
-            f"convolution degree {max_deg} exceeds the cap {MAX_DEGREE}"
+            f"{windows} repeated integrals of degree-{n - 1 - windows} data "
+            f"reach degree {n - 1}, above the cap {MAX_DEGREE}"
         )
+    bks = phi0.breakpoints
+    widths = np.diff(bks)
+    phi = np.zeros((windows + 1, len(phi0.pieces), n, d, d))
+    for k, p in enumerate(phi0.pieces):
+        phi[0, k, : p.coeffs.shape[0]] = p.coeffs
+    for r in range(windows):
+        phi[r + 1] = running_antiderivative(phi[r, :, : n - 1], widths)
 
-    # data pieces in their local variable z = s - ql, once per segment
-    qlocal = [(ql, qr, qpoly.shift(ql).coeffs) for ql, qr, qpoly in qsegs]
-    width_tol = 1e-13 * max(1.0, abs(a), abs(b))
-    pieces = []
-    for k in range(len(bks) - 1):
-        t0, t1 = bks[k], bks[k + 1]
-        tm = 0.5 * (t0 + t1)
-        acc = np.zeros((max_deg + 2, d, d))
-        for ql, qr, qcoef in qlocal:
-            for pl, pr, ppoly in psegs:
-                # s-window where this piece pair is active, probed at the
-                # interval midpoint (pair boundaries only cross at knots)
-                lo_mov = tm - c - pr
-                hi_mov = tm - c - pl
-                lo = max(ql, lo_mov)
-                hi = min(qr, hi_mov)
-                if hi - lo <= width_tol:
-                    continue
-                # integration bounds in data-local z, affine in tau with
-                # slope 0 or 1
-                lo_aff = (0.0, 0) if ql >= lo_mov else (t0 - c - pr - ql, 1)
-                hi_aff = (qr - ql, 0) if qr <= hi_mov else (t0 - c - pl - ql, 1)
-                pcoef = ppoly.shift(t0 - c - ql).coeffs  # argument tau - z
-                weights = _pair_weights(
-                    pcoef.shape[0] - 1, qcoef.shape[0] - 1, lo_aff, hi_aff
-                )
-                pair = pcoef[:, None] @ qcoef[None]
-                n = weights.shape[2]
-                acc[:n] += (
-                    weights.reshape(-1, n).T @ pair.reshape(-1, d * d)
-                ).reshape(n, d, d)
-        pieces.append(MatrixPolynomial(acc).shift(-t0))
+    shifts = sigma * np.arange(windows + 1)
+    out_bks = _merge_breakpoints((bks[None, :] + shifts[:, None]).ravel(), lo, hi)
+    t0 = out_bks[:-1]
+    tm = 0.5 * (t0 + out_bks[1:])
+    acc = np.zeros((t0.size, n, d, d))
+    base_degree = n - 1 - windows
+    for r in range(windows + 1):
+        # Phi_r is zero left of its first knot, so the active intervals
+        # are a suffix; it has degree base_degree + r at most
+        first = int(np.searchsorted(tm, bks[0] + shifts[r], side="right"))
+        if first == t0.size:
+            break
+        m = base_degree + r + 1
+        k = np.clip(np.searchsorted(bks, tm[first:] - shifts[r], side="right") - 1,
+                    0, len(widths) - 1)
+        # q[r] acts on the matrix rows and the re-expansion on the powers,
+        # so the product is taken once per data piece, before the gather
+        terms = (q[r] @ phi[r, :, :m])[k].reshape(-1, m, d * d)
+        s = (t0[first:] - shifts[r]) - bks[k]
+        acc[first:, :m] += (_shift_matrices(s, m) @ terms).reshape(-1, m, d, d)
     return PiecewiseMatrixPolynomial(
-        bks, pieces, left_value=np.zeros((d, d)), right_extension=False
+        out_bks,
+        [MatrixPolynomial(c) for c in acc],
+        left_value=np.zeros((d, d)),
+        right_extension=False,
     )
-
-
-@functools.lru_cache(maxsize=128)
-def _pair_tables(p, q):
-    """Scalar tables of :func:`convolve_kernel` for a kernel piece of
-    degree ``p`` against a data piece of degree ``q``: coefficients and
-    exponents of a fixed and of a moving bound, and the Beta values with
-    their ``(i, j, i + j + 1)`` positions.  Read-only, as they are shared."""
-    i = np.arange(p + 1)[:, None, None]
-    j = np.arange(q + 1)[None, :, None]
-    g = np.arange(p + 1)[None, None, :]
-    fixed_exp = np.maximum(i - g, 0) + j + 1
-    fixed_coef = (-1.0) ** (i - g) * _PASCAL[i, g] / fixed_exp
-    o = np.arange(q + 1)[None, None, :]
-    moving_exp = i + np.maximum(j - o, 0) + 1
-    moving_coef = (-1.0) ** i * _PASCAL[j, o] / moving_exp
-    i, j = i[:, :, 0], j[:, :, 0]
-    beta = 1.0 / ((i + j + 1) * _PASCAL[i + j, i])
-    top = tuple(np.broadcast_arrays(i, j, i + j + 1))
-    for arr in (fixed_coef, fixed_exp, moving_coef, moving_exp, beta, *top):
-        arr.flags.writeable = False
-    return fixed_coef, fixed_exp, moving_coef, moving_exp, beta, top
-
-
-def _pair_weights(p, q, lo_aff, hi_aff):
-    """``W[i, j, o]``: the ``tau**o`` coefficient of ``\\int_{lo(tau)}^
-    {hi(tau)} (tau - z)**i z**j dz`` for bounds ``(h, slope)``."""
-    fixed_coef, fixed_exp, moving_coef, moving_exp, beta, top = _pair_tables(p, q)
-    w = np.zeros((p + 1, q + 1, p + q + 2))
-    for (h, slope), sign in ((hi_aff, 1.0), (lo_aff, -1.0)):
-        if slope:
-            w[:, :, : q + 1] += sign * moving_coef * h**moving_exp
-        else:
-            w[:, :, : p + 1] += sign * fixed_coef * h**fixed_exp
-    slopes = hi_aff[1] - lo_aff[1]
-    if slopes:
-        w[top] += slopes * beta
-    return w

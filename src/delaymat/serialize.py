@@ -139,12 +139,19 @@ def load_system(path):
 def ppoly_from_node(node, d, path, ptr=""):
     """Read a piecewise-polynomial payload::
 
-        { "kind": "ppoly", "breakpoints": [t0, ..., tK],
-          "pieces": [ [ [[...]], ... ], ... ],   # pieces[k][j]: coeff of t**j
+        { "kind": "ppoly", "basis": "local", "breakpoints": [t0, ..., tK],
+          "pieces": [ [ [[...]], ... ], ... ],   # pieces[k][j]: coeff of
+                                                  # (t - tk)**j
           "left_value": [[...]],                  # optional, default zero
           "right_extension": bool }               # optional, default false
+
+    Without ``basis`` (or with ``"global"``) ``pieces[k][j]`` is the
+    coefficient of ``t**j``; such pieces are converted once on reading.
     """
     bks = _get(node, "breakpoints", path, ptr)
+    basis = node.get("basis", "global")
+    if basis not in ("local", "global"):
+        _fail(f"basis must be 'local' or 'global', got {basis!r}", path, f"{ptr}/basis")
     if not isinstance(bks, list) or len(bks) < 2:
         _fail("breakpoints must list at least two numbers", path, f"{ptr}/breakpoints")
     breakpoints = [
@@ -169,8 +176,13 @@ def ppoly_from_node(node, d, path, ptr=""):
     right_extension = node.get("right_extension", False)
     if not isinstance(right_extension, bool):
         _fail("right_extension must be a boolean", path, f"{ptr}/right_extension")
+    build = (
+        PiecewiseMatrixPolynomial
+        if basis == "local"
+        else PiecewiseMatrixPolynomial.from_global
+    )
     try:
-        return PiecewiseMatrixPolynomial(
+        return build(
             breakpoints, pieces, left_value=left_value, right_extension=right_extension
         )
     except ValueError as exc:
@@ -238,6 +250,7 @@ def ppoly_to_node(ppoly):
     :func:`ppoly_from_node`)."""
     return {
         "kind": "ppoly",
+        "basis": "local",
         "breakpoints": [float(b) for b in ppoly.breakpoints],
         "pieces": [p.coeffs.tolist() for p in ppoly.pieces],
         "left_value": ppoly.left_value.tolist(),

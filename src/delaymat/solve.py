@@ -6,9 +6,22 @@ With ``Z`` the matching fundamental solution, the continuous solution on
 
     X(t) = Z(t) Psi(-sigma)
          + \\int_{-sigma}^{0} Z(t - sigma - s) Psi'(s) ds
-         + \\int_{0}^{t}      Z(t - sigma - s) G(s) ds
+         + \\int_{0}^{t}      Z(t - sigma - s) G(s) ds.
 
-and the discrete solution for ``u = -m .. N`` is
+Each window of ``Z`` is a sum of scalar truncated powers,
+``Z(v) = sum_r q[r] (v - (r-1) sigma)_+**r / r!`` for ``v >= -sigma``, so
+Cauchy's formula for repeated integration collapses the whole formula to
+
+    X(t) = sum_{r=0}^{U} q[r] Phi_r(t - r sigma),
+
+where ``Phi_0`` is ``Psi`` on ``[-sigma, 0]``, ``Psi(0) + \\int_0^x G`` on
+``[0, T]`` and zero below ``-sigma``, and ``Phi_{r+1}`` is the
+antiderivative of ``Phi_r`` taken from ``-sigma``.
+:func:`solve_continuous` builds ``Phi_0`` from the data and hands it to
+:func:`~delaymat.ppoly.convolve_kernel`, which evaluates the sum by
+repeated integration; ``Z`` itself is the case ``Phi_0 = I``.
+
+The discrete solution for ``u = -m .. N`` is
 
     X(u) = Z(u) Psi(-m)
          + sum_{r=-m+1}^{0} Z(u - m - r) (Psi(r) - Psi(r - 1))
@@ -26,20 +39,18 @@ multiplies the contiguous run ``Z(-m) .. Z(N - 1 - k)`` and lands on
 ``X(k + 1 - m) .. X(N)``.  That is ``m + N`` products and ``O(N d^2)``
 memory, with no block-Toeplitz matrix.
 
-Both place the data to the *right* of the kernel, which is why they
-require the right coefficient ``A1`` to commute with every history and
-forcing value (:func:`validate_hypotheses` checks exactly that; scalar
-multiples of the identity always qualify).  A failed check raises
+Both formulas place the data to the *right* of the kernel: in the
+continuous sum ``q[r]`` multiplies ``Phi_r`` from the left, term by term,
+so the sum equals the representation formula for any data.  The formula
+solves the equation only when the right coefficient ``A1`` commutes with
+every history and forcing value, since ``A1`` acts on ``Z`` from the
+right and would otherwise have to pass the data
+(:func:`validate_hypotheses` checks exactly that; scalar multiples of the
+identity always qualify).  A failed check raises
 :class:`~delaymat.errors.HypothesisViolation` unless the caller forces
 the evaluation with ``allow_noncommuting_data=True``, in which case the
 result is a formal plug-in of the formula and an
 :class:`~delaymat.errors.UnsupportedHypothesisWarning` is emitted.
-
-The forcing convolution is evaluated with the fixed upper limit ``T``
-rather than the moving limit ``t``: the kernel vanishes below
-``-sigma``, so the two agree for every ``t <= T`` while keeping the
-integral in the exact sliding-window form of
-:func:`~delaymat.ppoly.convolve_kernel`.
 """
 
 from __future__ import annotations
@@ -51,9 +62,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, UnsupportedHypothesisWarning
-from .fundamental import DiscreteFundamental, build_fundamental_continuous
+from .fundamental import (  # noqa: F401
+    DiscreteFundamental,
+    build_fundamental_continuous,  # unused: perfbench traces it (ROADMAP item 5)
+    delay_windows,
+)
 from .linalg import max_abs
-from .ppoly import PiecewiseMatrixPolynomial, convolve_kernel
+from .ppoly import (
+    MatrixPolynomial,
+    PiecewiseMatrixPolynomial,
+    convolve_kernel,
+    running_antiderivative,
+)
+from .qseq import build_q_table
 from .system import ForcingSpec, HistorySpec, TrajectoryTable
 
 __all__ = [
@@ -199,6 +220,28 @@ def _as_history_ppoly(history):
     raise TypeError(f"unsupported history type {type(history).__name__}")
 
 
+def _data_integral(psi, g, sigma, horizon):
+    """``Phi_0``: the history on ``[-sigma, 0]``, then ``Psi(0) +
+    \\int_0^t G`` on ``[0, horizon]`` (constant without forcing)."""
+    segs = psi.pieces_in(-sigma, 0.0)
+    start = psi.eval_left(0.0)
+    if g is None:
+        tail = [(0.0, horizon, MatrixPolynomial.constant(start))]
+    else:
+        gsegs = g.pieces_in(0.0, horizon)
+        n = max(p.degree for _, _, p in gsegs) + 1
+        coeffs = np.zeros((len(gsegs), n, psi.dim, psi.dim))
+        for k, (_, _, p) in enumerate(gsegs):
+            coeffs[k, : p.coeffs.shape[0]] = p.coeffs
+        widths = [b - a for a, b, _ in gsegs]
+        integral = running_antiderivative(coeffs, widths, start)
+        tail = [(a, b, MatrixPolynomial(c)) for (a, b, _), c in zip(gsegs, integral)]
+    segs = segs + tail
+    return PiecewiseMatrixPolynomial(
+        [a for a, _, _ in segs] + [horizon], [p for _, _, p in segs]
+    )
+
+
 def solve_continuous(
     sys,
     history,
@@ -243,15 +286,10 @@ def solve_continuous(
     report = validate_hypotheses(sys, psi, g, tol=hypothesis_tol)
     _enforce_hypotheses(report, allow_noncommuting_data)
 
-    z = build_fundamental_continuous(sys, horizon + sigma)
-    x = z.rmul(psi.eval(-sigma))
-    psi_rate = psi.differentiate()
-    x = x + convolve_kernel(
-        z, psi_rate, sigma, -sigma, 0.0, -sigma, horizon
-    )
-    if g is not None:
-        # fixed upper limit: Z(t - sigma - s) = 0 for s > t
-        x = x + convolve_kernel(z, g, sigma, 0.0, horizon, -sigma, horizon)
+    windows = delay_windows(horizon, sigma)
+    q = build_q_table(sys.a0, sys.a1, windows)
+    x = convolve_kernel(q.mats, sigma, _data_integral(psi, g, sigma, horizon),
+                        -sigma, horizon)
     log.info(
         "solve(continuous): d=%d sigma=%g horizon=%g segments=%d degree=%d",
         sys.dim, sigma, horizon, len(x.pieces), x.degree,

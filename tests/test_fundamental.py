@@ -19,7 +19,9 @@ from delaymat import (
     fundamental_commutative_discrete,
 )
 from delaymat.errors import CommutationError, DegreeCapExceeded
+from delaymat.generators import random_system
 from delaymat.linalg import binomial, max_abs
+from delaymat.ppoly import MAX_DEGREE
 from delaymat.qseq import build_q_table
 
 
@@ -82,9 +84,10 @@ class TestContinuousWindows:
             build_fundamental_continuous(ex1_system, 0.0)
 
     def test_window_expansion_matches_exact_fractions(self):
-        """Global-power coefficients of ``sum_r q[r] (t - (r-1) sigma)^r
-        / r!`` against exact rationals of the same float inputs, up to
-        degree 25, within 8 eps of the sum of the terms' magnitudes."""
+        """Local coefficients of window ``u``, ``sum_r q[r] (tau + (u-r)
+        sigma)^r / r!`` with ``tau = t - (u-1) sigma``, against exact
+        rationals of the same float inputs, up to degree 25, within 8 eps
+        of the sum of the terms' magnitudes."""
         rng = np.random.default_rng(24)
         d, sigma, windows = 2, 0.7, 25
         sys = DelaySystem(
@@ -104,7 +107,7 @@ class TestContinuousWindows:
                     for b in range(d):
                         terms = [
                             math.comb(r, j)
-                            * ((1 - r) * Fraction(sigma)) ** (r - j)
+                            * ((u - r) * Fraction(sigma)) ** (r - j)
                             / math.factorial(r)
                             * exact_q[r][a][b]
                             for r in range(j, u + 1)
@@ -116,6 +119,58 @@ class TestContinuousWindows:
                         assert abs(got[j, a, b] - exact) <= bound, (
                             f"window {u}, t^{j}, entry ({a}, {b})"
                         )
+
+
+def shifted_form(q, sigma, u, ts):
+    """Window ``u`` of ``Z`` at the exact rationals ``ts`` by the shifted
+    form ``sum_r q[r] (t - (r-1) sigma)**r / r!``: the exact value for
+    the float ``q``, and the sum of the terms' magnitudes."""
+    exact = np.empty((len(ts),) + q.shape[1:])
+    terms = np.empty_like(exact)
+    fq = [[[Fraction(x) for x in row] for row in mat] for mat in q[: u + 1]]
+    for i, t in enumerate(ts):
+        powers = [(t - (r - 1) * Fraction(sigma)) ** r / math.factorial(r)
+                  for r in range(u + 1)]
+        for a in range(q.shape[1]):
+            for b in range(q.shape[2]):
+                parts = [fq[r][a][b] * powers[r] for r in range(u + 1)]
+                exact[i, a, b] = float(sum(parts))
+                terms[i, a, b] = float(sum(abs(x) for x in parts))
+    return exact, terms
+
+
+class TestShiftedFormUpToTheCap:
+    """Each window of ``Z`` against the shifted form, at every window
+    count up to :data:`MAX_DEGREE`."""
+
+    def test_every_window_count_on_a_cancelling_system(self):
+        # the system of ROADMAP item 1: the shifted form cancels, sum of
+        # |terms| / |Z| reaches ~1e14 at 64 windows, so Z is checked
+        # against the exact value of that sum within 16 eps of |terms|
+        sys = random_system(np.random.default_rng(5), 2, "continuous", entry_scale=0.5)
+        eps = np.finfo(float).eps
+        for u in range(1, MAX_DEGREE + 1):
+            z = build_fundamental_continuous(sys, float(u))
+            q = build_q_table(sys.a0, sys.a1, u).mats
+            ts = [Fraction(u - 1) + Fraction(k, 4) for k in range(4)]
+            exact, terms = shifted_form(q, 1.0, u, ts)
+            err = np.abs(z.eval(np.array(ts, dtype=float)) - exact)
+            assert np.all(err <= 16 * eps * terms), u
+
+    def test_every_window_count_within_1e_12_of_the_value(self):
+        sys = random_system(
+            np.random.default_rng(7), 2, "continuous", sigma=0.7, entry_scale=0.5
+        )
+        sigma = sys.sigma
+        for u in range(1, MAX_DEGREE + 1):
+            z = build_fundamental_continuous(sys, u * sigma)
+            q = build_q_table(sys.a0, sys.a1, u).mats
+            ts = (u - 1) * sigma + sigma * np.linspace(0.0, 1.0, 9)[:-1]
+            ref = np.zeros((ts.size, 2, 2))
+            for r in range(u + 1):
+                power = (ts - (r - 1) * sigma) ** r / math.factorial(r)
+                ref += q[r] * power[:, None, None]
+            assert max_abs(z.eval(ts) - ref) <= 1e-12 * max_abs(ref), u
 
 
 class TestDiscreteValues:

@@ -59,6 +59,29 @@ class TestContinuousIntegrator:
         assert len(table.times) == 3 * 32 + 1
         np.testing.assert_allclose(np.diff(table.times), 1.0 / 32, atol=1e-12)
 
+    @pytest.mark.parametrize("horizon", [2.0, 2.5, 2.0 + 1e-10])
+    def test_output_is_a_view_of_the_kept_prefix(
+        self, monkeypatch, ex1_system, ex1_history, ex1_forcing, horizon
+    ):
+        # the rows kept are those of the old mask grid <= horizon (+ slack),
+        # returned as views of the sweep's state stack instead of copies
+        from delaymat import _kernels
+
+        swept = []
+        sweep = _kernels.sweep
+        monkeypatch.setattr(
+            _kernels, "sweep", lambda *a: swept.append(sweep(*a)) or swept[-1]
+        )
+        config = IntegratorConfig(substeps_per_delay=16)
+        table = integrate_continuous(
+            ex1_system, ex1_history, ex1_forcing, horizon, config
+        )
+        grid = -1.0 + np.arange(swept[0].shape[0]) / 16
+        keep = grid <= horizon + 1e-9
+        np.testing.assert_array_equal(table.values, swept[0][keep])
+        np.testing.assert_array_equal(table.times, grid[keep])
+        assert np.shares_memory(table.values, swept[0])
+
     def test_fourth_order_convergence(self):
         rng = np.random.default_rng(902)
         sys = random_system(rng, 3, "continuous", entry_scale=0.6)

@@ -1,47 +1,67 @@
-"""Piecewise matrix polynomials: evaluation semantics, calculus,
-reparametrizations, algebra, and the exact convolution."""
+"""Piecewise matrix polynomials: evaluation semantics in the local
+basis, calculus, algebra, and the convolution by repeated integration."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
 
-from delaymat import build_fundamental_continuous, fixtures
+from delaymat import DelaySystem, build_fundamental_continuous, fixtures, solve_continuous
 from delaymat.errors import DegreeCapExceeded, DimensionMismatch
+from delaymat.generators import (
+    random_scalar_forcing,
+    random_scalar_history,
+    random_system,
+)
 from delaymat.linalg import max_abs
 from delaymat.ppoly import (
     MAX_DEGREE,
     MatrixPolynomial,
     PiecewiseMatrixPolynomial,
     convolve_kernel,
+    running_antiderivative,
 )
+from delaymat.qseq import build_q_table
 
 
-def exact_convolution(kpieces, kbks, dcoef, a, b, t):
-    """``\\int_a^b K(t - s) D(s) ds`` in exact rational arithmetic for a
-    scalar kernel with global-basis pieces ``kpieces`` on ``kbks`` (zero
-    left of ``kbks[0]``, the last piece extended) and one data piece."""
-    total = Fraction(0)
-    for k, pcoef in enumerate(kpieces):
-        s_hi = min(b, t - kbks[k])
-        s_lo = a if k == len(kpieces) - 1 else max(a, t - kbks[k + 1])
-        if s_hi <= s_lo:
+def exact_repeated_integration(q, sigma, knots, pieces, t):
+    """``(sum_r q[r] Phi_r(t - r sigma), sum_r |q[r]| |terms of Phi_r|)``
+    in exact rationals.  ``q`` is a list of Fraction object matrices,
+    ``pieces[k]`` the local coefficients (Fraction object matrices) of
+    ``Phi_0`` on ``[knots[k], knots[k+1])``, zero left of ``knots[0]`` and
+    the last piece extended; ``Phi_{r+1}`` is the antiderivative of
+    ``Phi_r`` from ``knots[0]``.  The second value is the sum of the
+    magnitudes of every term of the power sums, entry by entry."""
+    phi = [list(pieces)]
+    for _ in range(len(q) - 1):
+        nxt, start = [], 0 * pieces[0][0]
+        for k, coef in enumerate(phi[-1]):
+            anti = [start] + [c / (j + 1) for j, c in enumerate(coef)]
+            nxt.append(anti)
+            if k + 1 < len(knots) - 1:
+                width = knots[k + 1] - knots[k]
+                start = sum(c * width**j for j, c in enumerate(anti))
+        phi.append(nxt)
+    value = 0 * pieces[0][0]
+    terms = 0 * pieces[0][0]
+    for r, qr in enumerate(q):
+        x = t - r * sigma
+        if x < knots[0]:
             continue
-        # K(t - s) as coefficients in s, times D(s)
-        ks = [Fraction(0)] * len(pcoef)
-        for al, p in enumerate(pcoef):
-            for j in range(al + 1):
-                ks[j] += p * comb(al, j) * t ** (al - j) * (-1) ** j
-        prod = [Fraction(0)] * (len(ks) + len(dcoef) - 1)
-        for i, x in enumerate(ks):
-            for j, y in enumerate(dcoef):
-                prod[i + j] += x * y
-        for i, cf in enumerate(prod):
-            total += cf * (s_hi ** (i + 1) - s_lo ** (i + 1)) / (i + 1)
-    return total
+        k = max(i for i in range(len(knots) - 1) if knots[i] <= x)
+        tau = x - knots[k]
+        coef = phi[r][k]
+        value = value + qr.dot(sum(c * tau**j for j, c in enumerate(coef)))
+        size = sum(abs(c) * abs(tau) ** j for j, c in enumerate(coef))
+        terms = terms + abs(qr).dot(size)
+    return value, terms
+
+
+def as_fractions(arr):
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(arr, dtype=float))
 
 
 def random_ppoly(rng, d, lo, hi, n_pieces, deg):
@@ -87,14 +107,18 @@ class TestFundamentalEvaluation:
         )
 
     def test_integral_over_the_first_window(self, z1):
+        # pieces[1] is the window [0, 1) in its local variable t - 0
+        window = z1.pieces[1].antiderivative()
         np.testing.assert_allclose(
-            z1.integrate(0.0, 1.0), [[1.5, 0.5], [0.0, 2.0]], atol=1e-14
+            window.eval(1.0) - window.eval(0.0), [[1.5, 0.5], [0.0, 2.0]], atol=1e-14
         )
 
-    def test_shift_matches_pointwise_translation(self, z1):
-        shifted = z1.shift(-1.0)  # q(t) = Z(t - 1)
-        np.testing.assert_allclose(
-            shifted.eval(1.5), z1.eval(0.5), atol=1e-14
+    def test_pieces_are_stored_in_the_local_variable(self, ex1_system, z1):
+        # window [1, 2) is q[0] + q[1] t + q[2] (t - 1)**2 / 2, which in
+        # tau = t - 1 is q[0] + q[1] (tau + 1) + q[2] tau**2 / 2
+        q = build_q_table(ex1_system.a0, ex1_system.a1, 2)
+        np.testing.assert_array_equal(
+            z1.pieces[2].coeffs, [q[0] + q[1], q[1], q[2] / 2]
         )
 
 
@@ -196,12 +220,16 @@ class TestBatchIndependentEvaluation:
         right = p.eval(bks)
         left = p.eval_left(bks)
         np.testing.assert_array_equal(left[0], p.left_value)
+        # each piece is evaluated at the local time t - breakpoints[k]
         for k in range(1, bks.size):
+            own = min(k, len(p.pieces) - 1)
             np.testing.assert_array_equal(
-                right[k], p.pieces[min(k, len(p.pieces) - 1)].eval(bks[k])
+                right[k], p.pieces[own].eval(bks[k] - bks[own])
             )
-            np.testing.assert_array_equal(left[k], p.pieces[k - 1].eval(bks[k]))
-        np.testing.assert_array_equal(right[0], p.pieces[0].eval(bks[0]))
+            np.testing.assert_array_equal(
+                left[k], p.pieces[k - 1].eval(bks[k] - bks[k - 1])
+            )
+        np.testing.assert_array_equal(right[0], p.pieces[0].eval(0.0))
 
     def test_evaluates_into_a_row_slice(self):
         rng = np.random.default_rng(312)
@@ -244,29 +272,6 @@ class TestCalculus:
         back = p.antiderivative().derivative()
         np.testing.assert_allclose(back.coeffs, p.coeffs, atol=1e-15)
 
-    def test_integrate_additivity(self):
-        rng = np.random.default_rng(6)
-        p = random_ppoly(rng, 2, -1.0, 2.0, 3, 3)
-        a, b, c = -1.5, 0.3, 1.9
-        whole = p.integrate(a, c)
-        split = p.integrate(a, b) + p.integrate(b, c)
-        np.testing.assert_allclose(split, whole, atol=1e-13)
-
-    def test_integrate_covers_the_left_region(self):
-        p = PiecewiseMatrixPolynomial(
-            [0.0, 1.0],
-            [MatrixPolynomial.constant([[2.0]])],
-            left_value=[[0.5]],
-        )
-        assert p.integrate(-2.0, 1.0)[0, 0] == pytest.approx(0.5 * 2 + 2.0)
-
-    def test_integrate_rejects_reversed_bounds(self):
-        p = PiecewiseMatrixPolynomial(
-            [0.0, 1.0], [MatrixPolynomial.constant([[1.0]])]
-        )
-        with pytest.raises(ValueError):
-            p.integrate(1.0, 0.0)
-
     def test_differentiate_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         p = random_ppoly(rng, 2, 0.0, 3.0, 3, 4)
@@ -276,11 +281,26 @@ class TestCalculus:
         numeric = (p.eval(ts + h) - p.eval(ts - h)) / (2 * h)
         np.testing.assert_allclose(rate.eval(ts), numeric, atol=1e-7)
 
+    def test_running_antiderivative_is_continuous_and_differentiates_back(self):
+        rng = np.random.default_rng(7)
+        p = random_ppoly(rng, 2, -1.0, 2.0, 4, 3)
+        start = rng.uniform(-1.0, 1.0, size=(2, 2))
+        coeffs = np.stack([piece.coeffs for piece in p.pieces])
+        anti = PiecewiseMatrixPolynomial(
+            p.breakpoints,
+            [MatrixPolynomial(c) for c in running_antiderivative(
+                coeffs, np.diff(p.breakpoints), start)],
+        )
+        np.testing.assert_array_equal(anti.eval(-1.0), start)
+        assert np.all(anti.knot_jumps() <= 1e-15)
+        ts = np.linspace(-0.99, 1.99, 31)
+        np.testing.assert_allclose(anti.differentiate().eval(ts), p.eval(ts), atol=1e-15)
+
 
 class TestReparametrizations:
     def test_shift_composition(self):
         rng = np.random.default_rng(9)
-        p = random_ppoly(rng, 2, 0.0, 2.0, 2, 3)
+        p = MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(4, 2, 2)))
         once = p.shift(0.7).shift(-1.9)
         direct = p.shift(0.7 - 1.9)
         ts = np.linspace(0.5, 3.5, 37)
@@ -297,53 +317,26 @@ class TestReparametrizations:
         eps = np.finfo(float).eps
         assert np.all(np.abs(got - p.eval(ts + s)) <= 16 * eps * scale)
 
-    def test_shift_moves_the_domain(self):
-        p = PiecewiseMatrixPolynomial(
-            [0.0, 1.0], [MatrixPolynomial([[[0.0]], [[1.0]]])]
-        )
-        q = p.shift(1.0)  # q(t) = p(t + 1)
-        assert q.start == -1.0 and q.end == 0.0
-        assert q.eval(-0.25)[0, 0] == pytest.approx(0.75)
-
-    def test_reflect_is_pointwise_reflection_for_continuous_input(self, z1):
-        center = 1.3
-        r = z1.reflect(center, -1.0, 3.0)
-        ts = np.linspace(-0.99, 2.99, 113)
-        np.testing.assert_allclose(
-            r.eval(ts), z1.eval(center - ts), atol=1e-12
-        )
-
-    def test_restrict_preserves_values(self):
-        rng = np.random.default_rng(10)
-        p = random_ppoly(rng, 2, -1.0, 2.0, 3, 2)
-        q = p.restrict(-0.5, 1.5)
-        ts = np.linspace(-0.5, 1.499, 41)
-        np.testing.assert_allclose(q.eval(ts), p.eval(ts), atol=0)
+    def test_from_global_converts_each_piece_at_its_breakpoint(self):
+        rng = np.random.default_rng(15)
+        bks = [-0.7, 0.3, 1.1, 2.5]
+        glob = [MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(4, 2, 2)))
+                for _ in range(3)]
+        p = PiecewiseMatrixPolynomial.from_global(bks, glob, right_extension=True)
+        assert p.right_extension
+        for k, poly in enumerate(glob):
+            np.testing.assert_array_equal(p.pieces[k].coeffs, poly.shift(bks[k]).coeffs)
+            ts = np.linspace(bks[k], bks[k + 1], 9)[:-1]
+            np.testing.assert_allclose(p.eval(ts), poly.eval(ts), atol=1e-14)
 
 
 class TestAlgebra:
-    def test_add_sub_scale(self):
+    def test_scale(self):
         rng = np.random.default_rng(12)
         p = random_ppoly(rng, 2, 0.0, 2.0, 2, 2)
-        q = random_ppoly(rng, 2, -0.5, 2.5, 3, 3)
-        ts = np.linspace(0.0, 1.999, 29)
-        np.testing.assert_allclose(
-            (p + q).eval(ts), p.eval(ts) + q.eval(ts), atol=1e-13
-        )
-        np.testing.assert_allclose(
-            (p - q).eval(ts), p.eval(ts) - q.eval(ts), atol=1e-13
-        )
+        ts = np.linspace(-0.5, 2.5, 29)
         np.testing.assert_allclose(
             p.scale(-2.5).eval(ts), -2.5 * p.eval(ts), atol=1e-13
-        )
-
-    def test_matmul_preserves_factor_order(self):
-        rng = np.random.default_rng(13)
-        p = random_ppoly(rng, 2, 0.0, 1.0, 1, 2)
-        q = random_ppoly(rng, 2, 0.0, 1.0, 1, 2)
-        ts = np.linspace(0.0, 0.999, 17)
-        np.testing.assert_allclose(
-            p.matmul(q).eval(ts), p.eval(ts) @ q.eval(ts), atol=1e-13
         )
 
     def test_lmul_rmul(self):
@@ -355,7 +348,7 @@ class TestAlgebra:
         np.testing.assert_allclose(p.rmul(m).eval(ts), p.eval(ts) @ m, atol=1e-14)
 
     def test_knot_jumps(self):
-        cont = PiecewiseMatrixPolynomial(
+        cont = PiecewiseMatrixPolynomial.from_global(
             [0.0, 1.0, 2.0],
             [
                 MatrixPolynomial([[[0.0]], [[1.0]]]),
@@ -385,90 +378,139 @@ class TestDegreeCap:
 
     def test_convolution_above_the_cap_raises(self):
         rng = np.random.default_rng(47)
-        kernel = random_ppoly(rng, 1, -1.0, 1.0, 1, MAX_DEGREE // 2)
-        data = random_ppoly(rng, 1, 0.0, 1.0, 1, MAX_DEGREE // 2)
+        data = random_ppoly(rng, 1, -1.0, 1.0, 1, MAX_DEGREE // 2)
+        q = rng.uniform(-1.0, 1.0, size=(MAX_DEGREE // 2 + 2, 1, 1))
         with pytest.raises(DegreeCapExceeded):
-            convolve_kernel(kernel, data, 0.0, 0.0, 1.0, 0.0, 1.0)
+            convolve_kernel(q, 1.0, data, -1.0, 1.0)
+        convolve_kernel(q[:-1], 1.0, data, -1.0, 1.0)  # exactly at the cap
 
     def test_trailing_zero_coefficients_are_trimmed(self):
         p = MatrixPolynomial(np.zeros((MAX_DEGREE + 2, 1, 1)))
         assert p.degree == 0
 
 
+def direct_fundamental(q, sigma, v):
+    """``Z(v) = sum_r q[r] (v - (r-1) sigma)_+**r / r!`` for ``v >= -sigma``
+    (zero below), summed term by term without any piecewise polynomial."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    out = np.zeros((v.size,) + q.shape[1:])
+    for r in range(q.shape[0]):
+        x = v - (r - 1) * sigma
+        weight = np.where(x >= 0, np.maximum(x, 0.0) ** r / math.factorial(r), 0.0)
+        out += weight[:, None, None] * q[r]
+    return out
+
+
+def gauss_integral(f, cuts, nodes=24):
+    """Gauss-Legendre quadrature of ``f`` (stacked ``(d, d)`` values) over
+    the sorted ``cuts``, one rule per subinterval."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b > a:
+            s = 0.5 * (b - a) * x + 0.5 * (a + b)
+            total = total + np.tensordot(0.5 * (b - a) * w, f(s), axes=1)
+    return total
+
+
 class TestConvolution:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_reflect_matmul_integrate(self, seed):
+    def test_matches_gauss_quadrature_of_the_representation_formula(self, seed):
+        # independent route: X(t) = Z(t) Psi(-sigma) + int Z(t - sigma - s)
+        # Psi'(s) ds + int_0^t Z(t - sigma - s) G(s) ds, with Z summed
+        # directly and both integrals by Gauss-Legendre between the kinks
         rng = np.random.default_rng(40 + seed)
-        d = 2
-        kernel = random_ppoly(rng, d, -1.0, 3.0, 4, 3)
-        data = random_ppoly(rng, d, 0.0, 2.0, 2, 2)
-        c, a, b = 1.0, 0.0, 2.0
-        out = convolve_kernel(kernel, data, c, a, b, -1.0, 3.0)
-        for t in np.linspace(-0.9, 2.9, 23):
-            # independent route: materialize s -> kernel(t - c - s) and
-            # integrate its product with the data over [a, b]
-            refl = kernel.reflect(t - c, a - 1e-3, b + 1e-3)
-            expected = refl.matmul(data.restrict(a - 1e-3, b + 1e-3)).integrate(a, b)
-            np.testing.assert_allclose(out.eval(t), expected, atol=1e-10)
+        sigma, windows = 0.7, 4
+        sys = random_system(rng, 2, "continuous", sigma=sigma, entry_scale=0.5)
+        hist = random_scalar_history(rng, sys, deg=3, n_pieces=3)
+        force = random_scalar_forcing(rng, sys, windows * sigma, deg=2, n_pieces=5)
+        x = solve_continuous(sys, hist, force, windows * sigma)
+        q = build_q_table(sys.a0, sys.a1, windows + 1).mats
+        rate = hist.ppoly.differentiate()
+        psi_start = hist.ppoly.eval(-sigma)
+        for t in np.linspace(-0.65, windows * sigma - 0.01, 23):
+            kinks = t - sigma - sigma * np.arange(-1, windows + 2)
+            data_knots = np.concatenate([hist.ppoly.breakpoints, force.ppoly.breakpoints])
 
-    # (kernel breakpoints, data piece [a, b], output [0, hi)): one output
-    # interval at the origin, so no basis change enters the comparison
-    @pytest.mark.parametrize(
-        "kbks, a, b, hi",
-        [
-            pytest.param((-1, 1), 0, 0.5, 0.5, id="fixed-fixed"),
-            pytest.param((0, 1), 0, 0.5, 0.5, id="fixed-moving"),
-            pytest.param((-0.5, 0, 1), 0, 0.5, 0.5, id="moving-fixed"),
-            pytest.param((-0.25, 0, 1), 0, 1, 0.75, id="moving-moving"),
-        ],
-    )
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_scalar_pair_integrals_match_exact_reference(self, kbks, a, b, hi, seed):
+            def cuts(lo, hi):
+                pts = np.concatenate([[lo, hi], kinks, data_knots])
+                return np.unique(pts[(pts >= lo) & (pts <= hi)])
+
+            ref = direct_fundamental(q, sigma, t)[0] @ psi_start
+            ref = ref + gauss_integral(
+                lambda s: direct_fundamental(q, sigma, t - sigma - s) @ rate.eval(s),
+                cuts(-sigma, 0.0),
+            )
+            if t > 0:
+                ref = ref + gauss_integral(
+                    lambda s: direct_fundamental(q, sigma, t - sigma - s)
+                    @ force.ppoly.eval(s),
+                    cuts(0.0, t),
+                )
+            assert max_abs(x.eval(t) - ref) <= 1e-12 * max(1.0, max_abs(ref)), t
+
+    # Z (Phi_0 = I) and X (general matrix data with knots off the delay
+    # grid), dyadic sigma and knots, so every knot and sample is exact
+    @pytest.mark.parametrize("kind", ["Z", "X"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_exact_fraction_reference(self, kind, seed):
         rng = np.random.default_rng(60 + seed)
-
-        def dyadic(n):
-            return [Fraction(int(v), 64) for v in rng.integers(-64, 65, size=n)]
-
-        kpieces = [dyadic(25) for _ in kbks[:-1]]  # kernel degree 24
-        dcoef = dyadic(5)
-        kernel = PiecewiseMatrixPolynomial(
-            kbks, [MatrixPolynomial(np.array(pc, dtype=float)[:, None, None])
-                   for pc in kpieces]
-        )
-        data = PiecewiseMatrixPolynomial(
-            [a, b], [MatrixPolynomial(np.array(dcoef, dtype=float)[:, None, None])]
-        )
-        out = convolve_kernel(kernel, data, 0.0, a, b, 0.0, hi)
-        assert len(out.pieces) == 1
-        ts = [Fraction(hi) * Fraction(k, 32) for k in range(32)]
-        exact = np.array([
-            float(exact_convolution(
-                kpieces, [Fraction(x) for x in kbks], dcoef,
-                Fraction(a), Fraction(b), t,
-            ))
-            for t in ts
-        ])
-        got = out.eval(np.array(ts, dtype=float))[:, 0, 0]
+        sigma, windows, d = 0.75, 3 + seed, 2
+        a0, a1 = (rng.integers(-4, 5, size=(2, d, d)) / 8.0)
+        q = build_q_table(a0, a1, windows).mats
+        if kind == "Z":
+            sys = DelaySystem(a0=a0, a1=a1, delay=sigma, kind="continuous")
+            out = build_fundamental_continuous(sys, windows * sigma)
+            knots = [-sigma, windows * sigma]
+            pieces = [np.eye(d)[None]]
+        else:
+            knots = [-sigma, -0.4375, 0.0, 0.5625, 1.625, windows * sigma]
+            pieces = [rng.integers(-64, 65, size=(int(rng.integers(1, 5)), d, d)) / 64.0
+                      for _ in knots[:-1]]
+            phi0 = PiecewiseMatrixPolynomial(knots, [MatrixPolynomial(c) for c in pieces])
+            out = convolve_kernel(q, sigma, phi0, -sigma, windows * sigma)
         eps = np.finfo(float).eps
-        assert np.max(np.abs(got - exact)) <= 16 * eps * np.max(np.abs(exact))
+        exact_q = [as_fractions(m) for m in q]
+        exact_pieces = [[as_fractions(c) for c in coef] for coef in pieces]
+        exact_knots = [Fraction(k) for k in knots]
+        bks = out.breakpoints
+        for lo, hi in zip(bks[:-1], bks[1:]):
+            for t in lo + (hi - lo) * np.array([0.0, 0.25, 0.5, 0.75]):
+                exact, terms = exact_repeated_integration(
+                    exact_q, Fraction(sigma), exact_knots, exact_pieces, Fraction(t)
+                )
+                err = np.abs(out.eval(t) - exact.astype(float))
+                assert np.all(err <= 16 * eps * terms.astype(float)), (t, err)
 
     def test_empty_integration_range_gives_zero(self):
+        # left of the data's first knot every Phi_r integrates over nothing
         rng = np.random.default_rng(44)
-        kernel = random_ppoly(rng, 2, -1.0, 1.0, 2, 2)
         data = random_ppoly(rng, 2, 0.0, 1.0, 1, 1)
-        out = convolve_kernel(kernel, data, 0.5, 0.3, 0.3, 0.0, 1.0)
-        np.testing.assert_array_equal(out.eval(0.5), np.zeros((2, 2)))
+        q = rng.uniform(-1.0, 1.0, size=(3, 2, 2))
+        out = convolve_kernel(q, 0.5, data, -1.0, 0.0)
+        np.testing.assert_array_equal(out.eval(np.linspace(-1.0, -1e-9, 7)),
+                                      np.zeros((7, 2, 2)))
 
     def test_smoothing_raises_polynomial_degree_by_one(self):
         rng = np.random.default_rng(45)
-        kernel = random_ppoly(rng, 2, -1.0, 1.0, 1, 2)
-        data = random_ppoly(rng, 2, 0.0, 1.0, 1, 3)
-        out = convolve_kernel(kernel, data, 0.0, 0.0, 1.0, -1.0, 1.0)
-        assert out.degree <= 2 + 3 + 1
+        data = random_ppoly(rng, 2, -1.0, 1.0, 1, 3)
+        q = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+        out = convolve_kernel(q, 1.0, data, -1.0, 1.0)
+        assert [p.degree for p in out.pieces] == [3, 3 + 1]
+
+    def test_output_knots_are_the_data_knots_shifted_by_each_delay(self):
+        rng = np.random.default_rng(48)
+        data = random_ppoly(rng, 1, -0.5, 2.0, 3, 1)  # knots -0.5, 0.333.., 1.166..
+        q = rng.uniform(-1.0, 1.0, size=(3, 1, 1))
+        out = convolve_kernel(q, 0.5, data, -0.5, 1.5)
+        want = np.unique(np.concatenate(
+            [data.breakpoints + 0.5 * r for r in range(3)] + [[1.5]]))
+        np.testing.assert_allclose(out.breakpoints, want[want <= 1.5], atol=1e-15)
+        assert out.left_value.shape == (1, 1) and not out.left_value.any()
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(46)
-        kernel = random_ppoly(rng, 2, -1.0, 1.0, 1, 1)
         data = random_ppoly(rng, 3, 0.0, 1.0, 1, 1)
+        q = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
         with pytest.raises(DimensionMismatch):
-            convolve_kernel(kernel, data, 0.0, 0.0, 1.0, 0.0, 1.0)
+            convolve_kernel(q, 1.0, data, 0.0, 1.0)
