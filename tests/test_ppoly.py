@@ -415,10 +415,11 @@ def gauss_integral(f, cuts, nodes=24):
 
 class TestConvolution:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_gauss_quadrature_of_the_representation_formula(self, seed):
+    def test_matches_reflect_matmul_integrate(self, seed):
         # independent route: X(t) = Z(t) Psi(-sigma) + int Z(t - sigma - s)
         # Psi'(s) ds + int_0^t Z(t - sigma - s) G(s) ds, with Z summed
-        # directly and both integrals by Gauss-Legendre between the kinks
+        # directly, reflected about t - sigma, multiplied by the data and
+        # both integrals taken by Gauss-Legendre between the kinks
         rng = np.random.default_rng(40 + seed)
         sigma, windows = 0.7, 4
         sys = random_system(rng, 2, "continuous", sigma=sigma, entry_scale=0.5)
@@ -469,6 +470,47 @@ class TestConvolution:
                       for _ in knots[:-1]]
             phi0 = PiecewiseMatrixPolynomial(knots, [MatrixPolynomial(c) for c in pieces])
             out = convolve_kernel(q, sigma, phi0, -sigma, windows * sigma)
+        eps = np.finfo(float).eps
+        exact_q = [as_fractions(m) for m in q]
+        exact_pieces = [[as_fractions(c) for c in coef] for coef in pieces]
+        exact_knots = [Fraction(k) for k in knots]
+        bks = out.breakpoints
+        for lo, hi in zip(bks[:-1], bks[1:]):
+            for t in lo + (hi - lo) * np.array([0.0, 0.25, 0.5, 0.75]):
+                exact, terms = exact_repeated_integration(
+                    exact_q, Fraction(sigma), exact_knots, exact_pieces, Fraction(t)
+                )
+                err = np.abs(out.eval(t) - exact.astype(float))
+                assert np.all(err <= 16 * eps * terms.astype(float)), (t, err)
+
+    # The convolution of one data piece with one delay term, now a Phi_r
+    # piece re-expanded at an output knot.  A "fixed" knot lies on the delay
+    # grid, so its shifts t + r sigma land on knots that are already there;
+    # a "moving" one lies off it and adds output knots inside the other
+    # pieces, where they are re-expanded by a non-zero shift.  First word:
+    # the history knots on [-sigma, 0]; second: the forcing knots.
+    @pytest.mark.parametrize(
+        "hist_knots, force_knots",
+        [
+            pytest.param((), (0.75, 1.5), id="fixed-fixed"),
+            pytest.param((), (0.5625, 1.625), id="fixed-moving"),
+            pytest.param((-0.4375,), (0.75, 1.5), id="moving-fixed"),
+            pytest.param((-0.4375, -0.125), (0.5625, 1.625), id="moving-moving"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scalar_pair_integrals_match_exact_reference(self, hist_knots, force_knots, seed):
+        rng = np.random.default_rng(70 + seed)
+        sigma, windows = 0.75, 3 + 3 * seed
+        q = build_q_table(*(rng.integers(-4, 5, size=(2, 1, 1)) / 8.0), windows).mats
+        knots = [-sigma, *hist_knots, 0.0, *force_knots, windows * sigma]
+        pieces = [rng.integers(-64, 65, size=(5, 1, 1)) / 64.0 for _ in knots[:-1]]
+        phi0 = PiecewiseMatrixPolynomial(knots, [MatrixPolynomial(c) for c in pieces])
+        out = convolve_kernel(q, sigma, phi0, -sigma, windows * sigma)
+        shifted = np.concatenate([np.asarray(knots) + r * sigma for r in range(windows + 1)])
+        np.testing.assert_array_equal(
+            out.breakpoints, np.unique(shifted[shifted <= windows * sigma])
+        )
         eps = np.finfo(float).eps
         exact_q = [as_fractions(m) for m in q]
         exact_pieces = [[as_fractions(c) for c in coef] for coef in pieces]
