@@ -23,7 +23,6 @@ output path is given, the effective configuration is echoed into a
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -45,6 +44,7 @@ from .generators import (
 from .oracle import IntegratorConfig, integrate_continuous, step_discrete
 from .qseq import build_q_table
 from .serialize import (
+    dump_json,
     load_forcing,
     load_history,
     load_system,
@@ -264,7 +264,7 @@ def _emit_table(args, table, json_extra, outputs):
         write_json(node, args.out)
         outputs.append(args.out)
     else:
-        print(json.dumps(node, indent=2))
+        dump_json(node, sys.stdout)
 
 
 def _write_manifest(args, outputs, extra):

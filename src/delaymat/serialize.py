@@ -6,10 +6,15 @@ with a location — ``path:line:col`` for malformed JSON, ``path: /json/
 pointer`` for a well-formed document with a bad shape — so the
 command-line front end can print one anchored message and exit 2.
 
-Numbers are written with :func:`repr`, which in Python produces the
-shortest string that parses back to the identical float; trajectory
-files therefore round-trip bit-identically (integer-valued data reads
-back as exact integers).
+Readers accept any JSON layout. Files delaymat writes put each
+top-level key on its own line, and a value that is a stack of matrices
+(a trajectory's ``values``, a q table's ``mats``, a ppoly's ``pieces``)
+one element per line; every line comes from the C encoder of
+:mod:`json`, and a numpy stack is turned into Python floats one element
+at a time. Numbers are written with :func:`repr`, which in Python
+produces the shortest string that parses back to the identical float;
+trajectory files therefore round-trip bit-identically (integer-valued
+data reads back as exact integers).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_json",
+    "dump_json",
 ]
 
 
@@ -59,8 +65,53 @@ def load_json(path):
         ) from exc
 
 
+#: ``json.JSONEncoder.encode`` runs the C encoder only without ``indent``.
+_encode = json.JSONEncoder().encode
+
+
+def _is_stack(value):
+    """A non-empty stack of matrices or deeper: an array with at least
+    three axes, or a list nested at least three deep."""
+    if isinstance(value, np.ndarray):
+        return value.ndim >= 3 and len(value) > 0
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and isinstance(value[0], list)
+        and bool(value[0])
+        and isinstance(value[0][0], list)
+    )
+
+
+def _encode_value(value):
+    return _encode(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+def dump_json(node, fh):
+    """Write the JSON object ``node`` to the open text file ``fh``: one
+    top-level key per line, and a stack of matrices one element per line
+    (see the module docstring)."""
+    fh.write("{\n")
+    last = len(node) - 1
+    for n, (key, value) in enumerate(node.items()):
+        end = ",\n" if n < last else "\n"
+        head = f"  {_encode(key)}: "
+        if not _is_stack(value):
+            fh.write(head + _encode_value(value) + end)
+            continue
+        fh.write(head + "[\n")
+        tail = len(value) - 1
+        for k, elem in enumerate(value):
+            fh.write(f"    {_encode_value(elem)}{',' if k < tail else ''}\n")
+        fh.write("  ]" + end)
+    fh.write("}\n")
+
+
 def write_json(node, path):
-    Path(path).write_text(json.dumps(node, indent=2) + "\n")
+    """Write the JSON object ``node`` to the file ``path`` (see
+    :func:`dump_json`)."""
+    with open(path, "w") as fh:
+        dump_json(node, fh)
 
 
 def _fail(msg, path, ptr):
@@ -101,9 +152,26 @@ def _as_matrix(node, d, path, ptr):
     return out
 
 
+_type_of = np.frompyfunc(type, 1, 1)
+
+
+def _float_array(node, shape):
+    """``node`` as a finite float array of ``shape`` if it is one, made
+    without a Python-level walk; ``None`` otherwise (the caller then walks
+    it to name the first bad entry)."""
+    arr = np.array(node, dtype=object)  # ragged lists give another shape
+    if arr.shape != shape or not set(_type_of(arr).ravel().tolist()) <= {int, float}:
+        return None  # also rejects bool, str, None and nested lists
+    out = arr.astype(float)
+    return out if np.isfinite(out).all() else None
+
+
 def _as_matrix_stack(node, d, path, ptr, what="matrices"):
     if not isinstance(node, list) or not node:
         _fail(f"expected a non-empty list of {what}", path, ptr)
+    fast = _float_array(node, (len(node), d, d))
+    if fast is not None:
+        return fast
     return np.stack(
         [_as_matrix(mat, d, path, f"{ptr}/{k}") for k, mat in enumerate(node)]
     )
@@ -264,11 +332,13 @@ def qtable_to_node(qtable):
 
 
 def trajectory_to_node(table):
+    """Trajectory payload; ``times`` and ``values`` stay arrays, which
+    :func:`dump_json` writes one matrix at a time."""
     return {
         "kind": "trajectory",
         "trajectory_kind": table.kind,
-        "times": [float(t) for t in table.times],
-        "values": table.values.tolist(),
+        "times": table.times,
+        "values": table.values,
     }
 
 
@@ -281,9 +351,11 @@ def trajectory_from_node(doc, path="<node>"):
     times_node = _get(doc, "times", path, "")
     if not isinstance(times_node, list) or not times_node:
         _fail("times must be a non-empty list", path, "/times")
-    times = np.array(
-        [_as_number(t, path, f"/times/{k}") for k, t in enumerate(times_node)]
-    )
+    times = _float_array(times_node, (len(times_node),))
+    if times is None:
+        times = np.array(
+            [_as_number(t, path, f"/times/{k}") for k, t in enumerate(times_node)]
+        )
     values_node = _get(doc, "values", path, "")
     if not isinstance(values_node, list) or len(values_node) != times.size:
         _fail(f"values must list {times.size} matrices", path, "/values")

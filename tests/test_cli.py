@@ -15,7 +15,13 @@ from delaymat import (
     fixtures,
 )
 from delaymat.cli import _compare_windows, main
-from delaymat.serialize import ppoly_to_node, read_trajectory_csv
+from delaymat.generators import (
+    random_discrete_scalar_data,
+    random_scalar_forcing,
+    random_scalar_history,
+    random_system,
+)
+from delaymat.serialize import ppoly_to_node, qtable_to_node, read_trajectory_csv
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +166,7 @@ class TestSolveCommand:
         )
         # the solve formula needs Z one delay past the horizon
         assert_q_table(qnode, ex1_system, 4)
+        assert qnode == qtable_to_node(build_q_table(ex1_system.a0, ex1_system.a1, 4))
         assert znode == ppoly_to_node(build_fundamental_continuous(ex1_system, 4.0))
 
     def test_discrete_dump_q_and_dump_z(self, capsys, tmp_path, ex2_files, ex2_system):
@@ -261,6 +268,61 @@ class TestSolveCommand:
         )
         assert code == 2
         assert str(broken) in err
+
+
+def write_random_problem(tmp_path, family):
+    """A random d=3 problem of ``family`` as (system, history, forcing)
+    files, and the ``--to`` (plus ``--step``) flags for it."""
+    rng = np.random.default_rng(21)
+    sys_ = random_system(rng, 3, family, sigma=0.7)
+    if sys_.is_continuous:
+        history = ppoly_to_node(random_scalar_history(rng, sys_).ppoly)
+        forcing = ppoly_to_node(random_scalar_forcing(rng, sys_, 2.1).ppoly)
+        stop = ["--to", "2.1", "--step", "0.05"]
+    else:
+        hist, g = random_discrete_scalar_data(rng, sys_, 30)
+        history = {"kind": "table", "values": hist.values.tolist()}
+        forcing = {"kind": "table", "values": g.values.tolist()}
+        stop = ["--to", "30"]
+    docs = {
+        "sys": {"d": 3, "kind": family, "delay": sys_.delay,
+                "A0": sys_.a0.tolist(), "A1": sys_.a1.tolist()},
+        "hist": history,
+        "g": forcing,
+    }
+    paths = []
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths, stop
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("family", ["continuous", "discrete"])
+    def test_file_stdout_and_csv_agree_bit_for_bit(self, capsys, tmp_path, family):
+        (sys_path, hist_path, force_path), stop = write_random_problem(tmp_path, family)
+        argv = ["solve", "--system", sys_path, "--history", hist_path,
+                "--forcing", force_path, *stop]
+        json_path, csv_path = tmp_path / "x.json", tmp_path / "x.csv"
+        assert run_cli(capsys, *argv, "--format", "json", "--out", str(json_path))[0] == 0
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert run_cli(capsys, *argv, "--out", str(csv_path))[0] == 0
+        text = json_path.read_text()
+        assert out == text
+        csv = read_trajectory_csv(csv_path, kind=family)
+        doc = json.loads(text)
+        assert np.array_equal(np.array(doc["times"]), csv.times)
+        assert np.array_equal(np.array(doc["values"]), csv.values)
+        # {, kind, trajectory_kind, times, "values": [, one line per
+        # matrix, ], three hypothesis keys, }
+        rows = csv.times.size
+        lines = text.splitlines()
+        assert len(lines) == rows + 10
+        for k in (0, rows // 2, rows - 1):
+            row = json.loads(lines[5 + k].strip().rstrip(","))
+            assert np.array_equal(row, csv.values[k])
 
 
 class TestOutputsAndManifest:

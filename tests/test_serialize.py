@@ -1,17 +1,28 @@
 """Piecewise-polynomial payloads: the local coefficient basis on disk,
 files in the global basis, and the generators and fixtures that convert
-global draws the same way."""
+global draws the same way; the JSON writer's layout and exact round
+trip; and the anchored errors of the matrix-stack reader."""
 
 from __future__ import annotations
 
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delaymat import SchemaError, fixtures, solve_continuous
+from delaymat import (
+    SchemaError,
+    TrajectoryTable,
+    build_q_table,
+    fixtures,
+    solve_continuous,
+    solve_discrete,
+)
 from delaymat.generators import (
+    random_discrete_scalar_data,
     random_scalar_forcing,
     random_scalar_history,
     random_system,
@@ -19,11 +30,16 @@ from delaymat.generators import (
 from delaymat.linalg import max_abs
 from delaymat.ppoly import MatrixPolynomial
 from delaymat.serialize import (
+    dump_json,
     load_forcing,
     load_history,
     load_system,
     ppoly_from_node,
     ppoly_to_node,
+    qtable_to_node,
+    trajectory_from_node,
+    trajectory_to_node,
+    write_json,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -105,3 +121,151 @@ class TestGlobalDrawsAreConverted:
         psi = random_scalar_history(rng, sys, deg=3, n_pieces=4).ppoly
         assert np.all(psi.knot_jumps() <= 1e-14)
         assert np.all(psi.differentiate().knot_jumps() <= 1e-13)
+
+
+@pytest.fixture(params=["continuous", "discrete"])
+def solved_table(request):
+    """A sampled solve of a random d=3 system of either family."""
+    rng = np.random.default_rng(11)
+    sys = random_system(rng, 3, request.param, sigma=0.7)
+    if sys.is_continuous:
+        history = random_scalar_history(rng, sys)
+        forcing = random_scalar_forcing(rng, sys, 2.1)
+        x = solve_continuous(sys, history, forcing, 2.1)
+        times = np.linspace(-0.7, 2.1, 57)
+        return TrajectoryTable(kind="continuous", times=times, values=x.eval(times))
+    history, forcing = random_discrete_scalar_data(rng, sys, 40)
+    return solve_discrete(sys, history, forcing, 40)
+
+
+def entry_lines(text, first, count):
+    """The ``count`` lines from line ``first`` on, each parsed as JSON."""
+    lines = text.splitlines()[first : first + count]
+    return [json.loads(line.strip().rstrip(",")) for line in lines]
+
+
+class TestJsonWriter:
+    def test_file_and_stream_parse_back_bit_identically(self, tmp_path, solved_table):
+        path = tmp_path / "x.json"
+        write_json(trajectory_to_node(solved_table), path)
+        buf = io.StringIO()
+        dump_json(trajectory_to_node(solved_table), buf)
+        assert buf.getvalue() == path.read_text()
+        doc = json.loads(path.read_text())
+        assert doc["trajectory_kind"] == solved_table.kind
+        assert np.array_equal(np.array(doc["times"]), solved_table.times)
+        assert np.array_equal(np.array(doc["values"]), solved_table.values)
+        back = trajectory_from_node(doc, str(path))
+        assert np.array_equal(back.times, solved_table.times)
+        assert np.array_equal(back.values, solved_table.values)
+
+    def test_trajectory_file_has_one_matrix_per_line(self, tmp_path, solved_table):
+        path = tmp_path / "x.json"
+        write_json(dict(trajectory_to_node(solved_table), note="tail key"), path)
+        text = path.read_text()
+        rows = solved_table.times.size
+        lines = text.splitlines()
+        # {, kind, trajectory_kind, times, "values": [, rows, ], note, }
+        assert len(lines) == rows + 8
+        assert text.endswith("}\n")
+        assert [ln.split(":")[0] for ln in lines[1:5]] == [
+            '  "kind"', '  "trajectory_kind"', '  "times"', '  "values"'
+        ]
+        assert lines[4] == '  "values": ['
+        assert lines[rows + 5] == "  ],"
+        got = entry_lines(text, 5, rows)
+        assert all(np.array_equal(g, v) for g, v in zip(got, solved_table.values))
+
+    def test_q_table_and_ppoly_load_back_equal_to_their_nodes(self, tmp_path,
+                                                              ex1_system, ex1_history,
+                                                              ex1_forcing):
+        q = build_q_table(ex1_system.a0, ex1_system.a1, 5)
+        x = solve_continuous(ex1_system, ex1_history, ex1_forcing, 3.0)
+        for node, stack_key in ((qtable_to_node(q), "mats"), (ppoly_to_node(x), "pieces")):
+            path = tmp_path / f"{stack_key}.json"
+            write_json(node, path)
+            text = path.read_text()
+            assert json.loads(text) == node
+            # one element of the stack per line, every other key on one line
+            assert len(text.splitlines()) == len(node[stack_key]) + len(node) + 3
+            first = 2 + list(node).index(stack_key)
+            assert entry_lines(text, first, len(node[stack_key])) == node[stack_key]
+
+    def test_empty_and_flat_values_stay_on_one_line(self):
+        buf = io.StringIO()
+        dump_json({"mats": [], "eye": np.eye(2), "flag": False}, buf)
+        assert buf.getvalue() == (
+            '{\n  "mats": [],\n  "eye": [[1.0, 0.0], [0.0, 1.0]],\n'
+            '  "flag": false\n}\n'
+        )
+
+
+def _stack(n, d, seed):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, d, d)).tolist()
+
+
+def _defect(stack, kind):
+    """Plant a bad entry at ``stack[3][2][1]``; return the pointer suffix
+    and the message today's reader gives for it."""
+    if kind == "ragged":
+        stack[3][2] = stack[3][2][:2]
+        return "/3/2", "expected a row of 3 numbers"
+    value = {"bool": True, "str": "1.0", "nan": math.nan}[kind]
+    stack[3][2][1] = value
+    if kind == "nan":
+        return "/3", "matrix entries must be finite"
+    return "/3/2/1", f"expected a number, got {type(value).__name__}"
+
+
+DEFECTS = ["bool", "str", "ragged", "nan"]
+
+
+class TestStackReaderErrors:
+    """The fast array read falls back to the walk, so a bad entry deep in
+    a stack is still named by its exact JSON pointer."""
+
+    def check(self, read, path, ptr, msg):
+        with pytest.raises(SchemaError) as err:
+            read()
+        assert err.value.location == f"{path}: {ptr}"
+        assert str(err.value) == f"{path}: {ptr}: {msg}"
+
+    @pytest.mark.parametrize("kind", DEFECTS)
+    def test_trajectory_values(self, kind):
+        values = _stack(6, 3, 1)
+        suffix, msg = _defect(values, kind)
+        doc = {"kind": "trajectory", "trajectory_kind": "continuous",
+               "times": [0.1 * k for k in range(6)], "values": values}
+        self.check(lambda: trajectory_from_node(doc, "x.json"), "x.json",
+                   "/values" + suffix, msg)
+
+    @pytest.mark.parametrize("kind", DEFECTS)
+    @pytest.mark.parametrize("which", ["history", "forcing"])
+    def test_discrete_tables(self, tmp_path, which, kind):
+        sys = random_system(np.random.default_rng(2), 3, "discrete", m=4)
+        values = _stack(5, 3, 3)
+        suffix, msg = _defect(values, kind)
+        path = tmp_path / f"{which}.json"
+        path.write_text(json.dumps({"kind": "table", "values": values}))
+        read = load_history if which == "history" else load_forcing
+        self.check(lambda: read(path, sys), path, "/values" + suffix, msg)
+
+    @pytest.mark.parametrize("kind", DEFECTS)
+    @pytest.mark.parametrize("which", ["history", "forcing"])
+    def test_ppoly_pieces(self, tmp_path, which, kind):
+        sys = random_system(np.random.default_rng(2), 3, "continuous")
+        coeffs = _stack(5, 3, 4)
+        suffix, msg = _defect(coeffs, kind)
+        lo = -1.0 if which == "history" else 0.0
+        node = {"kind": "ppoly", "basis": "local", "breakpoints": [lo, lo + 0.5, lo + 1.0],
+                "pieces": [_stack(2, 3, 5), coeffs]}
+        path = tmp_path / f"{which}.json"
+        path.write_text(json.dumps(node))
+        read = load_history if which == "history" else load_forcing
+        self.check(lambda: read(path, sys), path, "/pieces/1" + suffix, msg)
+
+    def test_times(self):
+        doc = {"kind": "trajectory", "trajectory_kind": "discrete",
+               "times": [0.0, 1.0, "2"], "values": _stack(3, 2, 6)}
+        self.check(lambda: trajectory_from_node(doc, "x.json"), "x.json",
+                   "/times/2", "expected a number, got str")
