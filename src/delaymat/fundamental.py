@@ -22,8 +22,10 @@ Z(u - m) A1`` with ``Z = 0`` for ``u <= -m - 1`` and ``Z = I`` for
 
     Z(u) = sum_{r=0}^{n} C(u - (r - 1) m, r) q[r],   n = ceil(u / (m+1)).
 
-A whole index range is computed at once from a binomial matrix and the
-q stack (:meth:`DiscreteFundamental.table`).
+The binomial is a repeated sum: with ``Phi_0 = I`` from ``-m`` on and
+``Phi_{r+1}`` the cumulative sum of ``Phi_r``, ``Phi_r(v) = C(v + m + r,
+r)``.  :func:`discrete_kernel` evaluates ``sum_r q[r] Phi_r(u - r (m+1))``
+for ``Phi_0 = I`` (:meth:`DiscreteFundamental.table`) and for the data.
 
 Commutative-case evaluators (`fundamental_commutative_*`) compute the
 same windows from powers of ``A0`` and ``A1`` alone; they require a
@@ -32,8 +34,6 @@ commuting pair and exist as independently-derived cross-checks.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import logging
 import math
 
@@ -52,6 +52,7 @@ from .qseq import build_q_table, q_commutative_closed_form
 __all__ = [
     "build_fundamental_continuous",
     "DiscreteFundamental",
+    "discrete_kernel",
     "fundamental_commutative_continuous",
     "fundamental_commutative_discrete",
 ]
@@ -104,31 +105,24 @@ def build_fundamental_continuous(sys, horizon):
 class DiscreteFundamental:
     """Evaluator for the discrete fundamental solution.
 
-    :meth:`table` computes ``Z(u)`` over a whole index range from the
-    binomial matrix and the q stack; :meth:`value` reads single indices
-    from it and memoizes them.  Both caches are pure-function style (an
-    index always maps to the same matrix), so sharing an instance across
-    callers is safe.
+    :meth:`table` computes ``Z(u)`` over a whole index range with
+    :func:`discrete_kernel`, ``Phi_0 = I`` from ``-m`` on; :meth:`value`
+    reads single indices from it and memoizes them.  The cache is
+    pure-function style (an index always maps to the same matrix), so
+    sharing an instance across callers is safe.
     """
 
     def __init__(self, sys):
         if sys.is_continuous:
             raise ValueError("DiscreteFundamental needs a discrete system")
         self.system = sys
-        self._q = [np.eye(sys.dim)]
         self._cache = {}
-
-    def _q_upto(self, depth):
-        while len(self._q) <= depth:
-            m = self._q[-1]
-            self._q.append(self.system.a0 @ m + m @ self.system.a1)
-        return self._q
 
     def table(self, lo, hi):
         """``Z(u)`` for ``u = lo .. hi`` as a ``(hi - lo + 1, d, d)`` stack.
 
-        Raises :class:`~delaymat.errors.DegreeCapExceeded` when a
-        binomial coefficient of the sum exceeds the float range.
+        Raises :class:`~delaymat.errors.DegreeCapExceeded` when a row
+        from ``-m`` up to ``hi`` leaves the float range.
         """
         lo, hi = int(lo), int(hi)
         if hi < lo:
@@ -136,21 +130,14 @@ class DiscreteFundamental:
         m = self.system.m
         d = self.system.dim
         out = np.zeros((hi - lo + 1, d, d))
-        eye_lo, eye_hi = max(lo, -m), min(hi, 0)
-        if eye_lo <= eye_hi:
-            out[eye_lo - lo : eye_hi - lo + 1] = np.eye(d)
-        if hi >= 1:
-            # one term q[r] at a time over all rows, from the row
-            # (r-1)(m+1)+1 where it enters: each row then sums its terms
-            # in the same order whatever the range, so table and value
-            # agree bit for bit
-            start = max(lo, 1)
-            binom = _binomial_matrix(m, start, hi)
-            q = self._q_upto(binom.shape[1] - 1)
-            acc = out[start - lo :]
-            for r in range(binom.shape[1]):
-                row = max(0, (r - 1) * (m + 1) + 1 - start)
-                acc[row:] += binom[row:, r, None, None] * q[r]
+        if hi >= -m:
+            # each row sums its terms in the same order whatever the
+            # range, so table and value agree bit for bit
+            q = build_q_table(self.system.a0, self.system.a1, (hi + m) // (m + 1))
+            identity = np.broadcast_to(np.eye(d), (hi + m + 1, d, d))
+            z = discrete_kernel(q.mats, identity, m, name="Z")
+            first = max(lo, -m)
+            out[first - lo :] = z[first + m :]
         return out
 
     def value(self, u):
@@ -164,44 +151,36 @@ class DiscreteFundamental:
         return hit
 
 
-#: Smallest integer that rounds to infinity as a float64.
-_FLOAT_OVERFLOW = 2**1024 - 2**970
+def discrete_kernel(q, phi0, m, name="X"):
+    """``X(u) = sum_r q[r] Phi_r(u - r (m + 1))`` for ``u = -m .. -m + L - 1``.
 
-
-@functools.lru_cache(maxsize=8)
-def _binomial_matrix(m, lo, hi):
-    """Read-only ``B[u - lo, r] = C(u - (r - 1) m, r)`` for ``u = lo ..
-    hi`` (``lo >= 1``) and ``r = 0 .. ceil(hi / (m + 1))``, zero for ``r >
-    ceil(u / (m + 1))`` (the generalized binomial is not zero there, but
-    the sum stops).
-
-    Column ``r`` starts at ``u = max(lo, (r - 1)(m + 1) + 1)`` and follows
-    ``C(t + 1, r) = C(t, r) (t + 1) / (t + 1 - r)`` in exact integers
-    down the rows; each entry is rounded to float once.
+    ``phi0`` is the ``(L, d, d)`` stack ``Phi_0(-m) .. Phi_0(-m + L - 1)``,
+    ``Phi_r`` is zero below ``-m`` and ``Phi_{r+1}`` is the inclusive
+    cumulative sum of ``Phi_r``; ``q`` must reach depth ``(L - 1) // (m +
+    1)``.  Term ``r`` needs ``Phi_r`` only on the first ``L - r (m + 1)``
+    rows, and every row adds its terms in order of ``r``.  Raises
+    :class:`~delaymat.errors.DegreeCapExceeded` naming the first row
+    (``name(u)``) that leaves the float range.
     """
-    n = -(-hi // (m + 1))
-    out = np.zeros((hi - lo + 1, n + 1))
-    overflow_u = None
-    for r in range(n + 1):
-        first = max(lo, (r - 1) * (m + 1) + 1)
-        t = first - (r - 1) * m
-        c = math.comb(t, r)
-        column = [c]
-        for t in range(t + 1, t + 1 + hi - first):
-            c = c * t // (t - r)
-            column.append(c)
-        try:
-            out[first - lo :, r] = column
-        except OverflowError:
-            u = first + bisect.bisect_left(column, _FLOAT_OVERFLOW)
-            overflow_u = u if overflow_u is None else min(overflow_u, u)
-    if overflow_u is not None:
+    rows, d = phi0.shape[0], phi0.shape[1]
+    # (d, d, rows) layout: a term is one (d, d) @ (d, d * n) product, and
+    # each cumulative sum runs along the contiguous last axis
+    phi = np.transpose(phi0, (1, 2, 0)).copy()
+    out = np.zeros_like(phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(-(-rows // (m + 1))):
+            n = rows - r * (m + 1)
+            if r:
+                phi = np.cumsum(phi[:, :, :n], axis=2)
+            term = q[r] @ phi.reshape(d, d * n)
+            out[:, :, r * (m + 1) :] += term.reshape(d, d, n)
+    finite = np.isfinite(out).all(axis=(0, 1))
+    if not finite.all():
+        u = int(np.argmin(finite)) - m
         raise DegreeCapExceeded(
-            f"Z(u) at u = {overflow_u} with delay m = {m} needs binomial "
-            f"coefficients C(u - (r - 1) m, r) beyond the float range"
+            f"{name}(u) at u = {u} with delay m = {m} leaves the float range"
         )
-    out.setflags(write=False)
-    return out
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def _require_commuting(a0, a1, tol):

@@ -1,12 +1,12 @@
 """Dense matrix helpers shared by every other module.
 
-Everything here operates on plain ``(d, d)`` float64 ndarrays.  The two
-workhorses are :func:`sylvester_apply`, the two-sided multiplication
-``M -> A0 @ M + M @ A1`` that generates the coefficient tables of the
-closed forms, and :func:`binomial`, an exact integer binomial that also
-covers negative upper arguments (needed by the discrete fundamental
-solution, whose index arguments can drop below zero near the start-up
-window).
+Everything here operates on plain ``(d, d)`` float64 ndarrays.
+:func:`sylvester_apply` is one step ``M -> A0 @ M + M @ A1`` of the
+iteration that builds the coefficients of both closed forms.
+:func:`binomial` is an exact integer binomial (negative upper arguments
+too); the closed forms build their binomial weights as repeated sums or
+integrals, so it serves only the commutative cross-checks and
+:func:`~delaymat.qseq.q_commutative_closed_form`.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import as_square_matrix, binomial, sylvester_apply
+from .errors import DegreeCapExceeded, DimensionMismatch
+from .linalg import as_square_matrix, binomial
 
 __all__ = ["QTable", "build_q_table", "q_commutative_closed_form"]
 
@@ -64,7 +64,8 @@ class QTable:
 
 def build_q_table(a0, a1, depth):
     """Iterate ``q[r + 1] = A0 q[r] + q[r] A1`` from ``q[0] = I`` up to
-    ``q[depth]``."""
+    ``q[depth]``; an iterate past the float range raises
+    :class:`~delaymat.errors.DegreeCapExceeded`."""
     a0 = as_square_matrix(a0, "a0")
     a1 = as_square_matrix(a1, "a1")
     if a0.shape != a1.shape:
@@ -77,8 +78,14 @@ def build_q_table(a0, a1, depth):
     d = a0.shape[0]
     mats = np.empty((depth + 1, d, d))
     mats[0] = np.eye(d)
-    for r in range(depth):
-        mats[r + 1] = sylvester_apply(a0, a1, mats[r])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(depth):
+            mats[r + 1] = a0 @ mats[r] + mats[r] @ a1
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise DegreeCapExceeded(
+            f"q[{int(np.argmin(finite))}] of depth {depth} leaves the float range"
+        )
     return QTable(mats)
 
 

@@ -27,21 +27,21 @@ The discrete solution for ``u = -m .. N`` is
          + sum_{r=-m+1}^{0} Z(u - m - r) (Psi(r) - Psi(r - 1))
          + sum_{r=1}^{u}    Z(u - m - r) G(r - 1).
 
-The two sums are one convolution with a single data sequence: with
-``D = (Psi(-m+1) - Psi(-m), .., Psi(0) - Psi(-1), G(0), .., G(N-1))``,
+``Z(v) = sum_r q[r] C(v - (r-1) m, r)`` for ``v >= -m``, that binomial is
+the ``r``-fold repeated sum of ones, and the data enter as steps, so the
+formula collapses in the same way to
 
-    X(u) = Z(u) Psi(-m) + sum_{k} Z(u - 1 - k) D[k],
+    X(u) = sum_{r} q[r] Phi_r(u - r (m + 1)),
 
-where ``Z(v) = 0`` for ``v <= -m - 1`` cuts the sum off at ``k = u + m
-- 1``.  :func:`solve_discrete` takes ``Z(-m) .. Z(N)`` as one table and
-adds the whole contribution of each data value in one product: ``D[k]``
-multiplies the contiguous run ``Z(-m) .. Z(N - 1 - k)`` and lands on
-``X(k + 1 - m) .. X(N)``.  That is ``m + N`` products and ``O(N d^2)``
-memory, with no block-Toeplitz matrix.
+where ``Phi_0`` is ``Psi`` on ``-m .. 0``, ``Psi(0) + G(0) + .. + G(u -
+1)`` for ``u >= 1`` and zero below ``-m``, and ``Phi_{r+1}`` is the
+cumulative sum of ``Phi_r``.  :func:`solve_discrete` hands ``Phi_0`` to
+:func:`~delaymat.fundamental.discrete_kernel`: ``(N + m) // (m + 1) + 1``
+cumulative sums and products, and no binomial coefficients.
 
-Both formulas place the data to the *right* of the kernel: in the
-continuous sum ``q[r]`` multiplies ``Phi_r`` from the left, term by term,
-so the sum equals the representation formula for any data.  The formula
+Both formulas place the data to the *right* of the kernel: in both sums
+``q[r]`` multiplies ``Phi_r`` from the left, term by term, so each sum
+equals its representation formula for any data.  The formula
 solves the equation only when the right coefficient ``A1`` commutes with
 every history and forcing value, since ``A1`` acts on ``Z`` from the
 right and would otherwise have to pass the data
@@ -63,9 +63,9 @@ import numpy as np
 
 from .errors import HypothesisViolation, UnsupportedHypothesisWarning
 from .fundamental import (  # noqa: F401
-    DiscreteFundamental,
     build_fundamental_continuous,  # unused: perfbench traces it (ROADMAP item 5)
     delay_windows,
+    discrete_kernel,
 )
 from .linalg import max_abs
 from .ppoly import (
@@ -359,13 +359,11 @@ def solve_discrete(
     report = validate_hypotheses(sys, hist, g, tol=hypothesis_tol)
     _enforce_hypotheses(report, allow_noncommuting_data)
 
-    z = DiscreteFundamental(sys).table(-m, n_steps)  # z[u + m] = Z(u)
-    data = np.concatenate([np.diff(hist, axis=0), g])
-    out = z @ hist[0]
-    for k in range(m + n_steps):
-        # Z(-m .. N-1-k) D[k] onto X(k+1-m .. N), as one 2-D product
-        rows = z[: m + n_steps - k].reshape(-1, d) @ data[k]
-        out[k + 1 :] += rows.reshape(-1, d, d)
+    # Phi_0: the history on -m .. 0, then Psi(0) + G(0) + .. + G(u - 1)
+    running = np.cumsum(np.concatenate([hist[-1:], g]), axis=0)
+    phi0 = np.concatenate([hist[:-1], running])
+    q = build_q_table(sys.a0, sys.a1, (n_steps + m) // (m + 1))
+    out = discrete_kernel(q.mats, phi0, m)
     times = np.arange(-m, n_steps + 1, dtype=float)
     log.info("solve(discrete): d=%d m=%d steps=%d", d, m, n_steps)
     return TrajectoryTable(kind="discrete", times=times, values=out)

@@ -93,7 +93,7 @@ class TestFundamentalCommand:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: Z(u) at u = 1482 with delay m = 1")
+        assert err.startswith("error: Z(u) at u = 1017 with delay m = 1")
 
     def test_continuous_sampling(self, capsys, ex1_files, ex1_system):
         sys_path, _, _ = ex1_files
@@ -211,6 +211,18 @@ class TestSolveCommand:
                 np.array(rows[entry.u]).reshape(2, 2), entry.value,
                 err_msg=f"u={entry.u}",
             )
+
+    def test_discrete_rows_past_the_float_range_are_a_clean_error(
+        self, capsys, ex2_files
+    ):
+        sys_path, hist_path, _ = ex2_files
+        code, out, err = run_cli(
+            capsys, "solve", "--system", sys_path, "--history", hist_path,
+            "--to", "1100",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: X(u) at u = 1018 with delay m = 1")
 
     def test_noncommuting_forcing_fails_closed(self, capsys, tmp_path, ex1_files):
         sys_path, hist_path, _ = ex1_files

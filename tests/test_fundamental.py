@@ -262,16 +262,35 @@ class TestDiscreteValues:
             DiscreteFundamental(ex2_system).table(3, 2)
 
     def test_float_overflow_of_the_binomials_refuses(self):
-        # C(u - (r - 1), r) first exceeds the float range at u = 1482
+        # C(u - (r - 1), r) first exceeds the float range at u = 1482; the
+        # refusal names that row whichever later row was asked for
         sys = DelaySystem(
             a0=0.1 * np.eye(2), a1=np.zeros((2, 2)), delay=1, kind="discrete"
         )
         fund = DiscreteFundamental(sys)
         assert np.all(np.isfinite(fund.value(1481)))
-        with pytest.raises(DegreeCapExceeded, match=r"u = 1600 with delay m = 1"):
+        with pytest.raises(DegreeCapExceeded, match=r"u = 1482 with delay m = 1"):
             fund.value(1600)
         with pytest.raises(DegreeCapExceeded, match=r"u = 1482 with delay m = 1"):
             fund.table(-2, 1600)
+
+
+    @pytest.mark.parametrize("m, top", [(1, 1481), (2, 1400), (3, 1400)])
+    def test_float_binomials_keep_the_precision_of_exact_ones(self, m, top):
+        # Z(u) = sum_r C(u - (r - 1) m, r) q[r] with q[r] = 0.1**r I, up to
+        # the float range: the binomials pass 2**53 long before u = top
+        sys = DelaySystem(
+            a0=0.1 * np.eye(2), a1=np.zeros((2, 2)), delay=m, kind="discrete"
+        )
+        z = DiscreteFundamental(sys).table(1, top)
+        q = build_q_table(sys.a0, sys.a1, (top + m) // (m + 1)).mats[:, 0, 0]
+        eps = np.finfo(float).eps
+        for u in [*range(1, top, 37), top]:
+            exact = sum(
+                math.comb(u - (r - 1) * m, r) * Fraction(q[r])
+                for r in range(-(-u // (m + 1)) + 1)
+            )
+            assert abs(Fraction(z[u - 1, 0, 0]) - exact) <= 16 * eps * exact, u
 
 
 class TestCommutativeReduction:

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from delaymat.errors import DimensionMismatch
+from delaymat.errors import DegreeCapExceeded, DimensionMismatch
 from delaymat.linalg import max_abs
 from delaymat.qseq import QTable, build_q_table, q_commutative_closed_form
 
@@ -61,6 +61,16 @@ class TestRecursion:
             build_q_table(np.eye(2), np.eye(2), -1)
         with pytest.raises(DimensionMismatch):
             QTable(np.zeros((3, 2, 3)))
+
+    def test_iterates_past_the_float_range_refuse(self):
+        # q[1] = 1e200 I is finite, q[2] = 1e400 I is not; the check must
+        # cover the last iterate too
+        np.testing.assert_array_equal(
+            build_q_table(1e200 * np.eye(2), np.zeros((2, 2)), 1)[1],
+            1e200 * np.eye(2),
+        )
+        with pytest.raises(DegreeCapExceeded, match=r"q\[2\] of depth 2"):
+            build_q_table(1e200 * np.eye(2), np.zeros((2, 2)), 2)
 
 
 class TestBinomialExpansion:

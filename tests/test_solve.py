@@ -4,6 +4,7 @@ between independent routes to the same solution."""
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -24,14 +25,17 @@ from delaymat import (
     solve_discrete_homogeneous,
     validate_hypotheses,
 )
+from delaymat.errors import DegreeCapExceeded
 from delaymat.generators import (
     random_discrete_scalar_data,
     random_scalar_forcing,
     random_scalar_history,
     random_system,
 )
-from delaymat.linalg import max_abs
+from delaymat.linalg import binomial, max_abs
 from delaymat.ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
+from delaymat.qseq import build_q_table
+from exact_arith import exact, rounded
 
 
 def zero_history(d, sigma):
@@ -293,10 +297,30 @@ class TestDiscreteStructure:
         with pytest.raises(ValueError):
             solve_discrete(ex2_system, np.zeros((2, 2, 2)), None, -1)
 
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_rows_past_the_float_range_refuse(
+        self, forced, ex2_system, ex2_history, ex2_forcing
+    ):
+        # the exact integer solution leaves the float range (2**1024 -
+        # 2**970 is the smallest integer that rounds to inf) at u = 1018
+        # without forcing and at 1026 with G = I; the refusal may come
+        # earlier, where a partial sum overflows, but never later
+        a0, a1 = ex2_system.a0.astype(int), ex2_system.a1.astype(int)
+        g = int(forced) * np.eye(2, dtype=int)
+        x = [ex2_history.values[k].astype(int).astype(object) for k in range(2)]
+        while np.abs(x[-1]).max() < 2**1024 - 2**970:
+            x.append(x[-1] + a0 @ x[-2] + x[-2] @ a1 + g)
+        first = len(x) - 2
+        assert first == (1026 if forced else 1018)
+        forcing = ex2_forcing if forced else None
+        with pytest.raises(DegreeCapExceeded, match=r"X\(u\) at u = (\d+) ") as err:
+            solve_discrete(ex2_system, ex2_history, forcing, 1100)
+        u = int(re.search(r"u = (\d+)", str(err.value)).group(1))
+        assert (u <= first) if forced else (u == first)
+
 
 def double_loop_reference(sys, hist, g, n_steps):
-    """The representation formula term by term from ``Z(u)`` values,
-    as the solver evaluated it before the lag-batched convolution."""
+    """The representation formula term by term from ``Z(u)`` values."""
     fund = DiscreteFundamental(sys)
     m, d = sys.m, sys.dim
     dpsi = np.diff(hist, axis=0)
@@ -309,6 +333,50 @@ def double_loop_reference(sys, hist, g, n_steps):
             acc = acc + fund.value(u - m - r) @ g[r - 1]
         out[u + m] = acc
     return out
+
+
+def exact_representation(sys, hist, g, n_steps):
+    """The representation formula in exact rational arithmetic on the
+    float ``q``, history and forcing, rounded to float once, and the
+    scale ``sum_r ||q[r]||_inf max|Phi_r(u - r (m + 1))|`` of each row.
+
+    ``X(u) = Z(u) Psi(-m) + sum_k Z(u - 1 - k) D[k]`` with ``D`` the
+    history differences, then ``G``, and ``Z(v) = sum_r C(v - (r - 1) m,
+    r) q[r]`` from exact binomials.  ``Phi_0`` is the history, then
+    ``Psi(0) + G(0) + .. + G(u - 1)``; ``Phi_{r+1}`` is its cumulative
+    sum.
+    """
+    m, d = sys.m, sys.dim
+    rows = m + n_steps + 1
+    depth = (rows - 1) // (m + 1)
+    qf = build_q_table(sys.a0, sys.a1, depth).mats
+    q, kq = exact(qf)
+    data, kd = exact(np.concatenate([hist, g]))
+    psi, gq = data[: m + 1], data[m + 1 :]
+    z = [q[0]] * (m + 1)
+    for v in range(1, n_steps + 1):
+        z.append(sum(binomial(v - (r - 1) * m, r) * q[r]
+                     for r in range(-(-v // (m + 1)) + 1)))
+    z = np.array(z)
+    steps = np.concatenate([np.diff(psi, axis=0), gq])
+    x = np.empty(z.shape, dtype=object)
+    for i in range(rows):
+        x[i] = z[i] @ psi[0]
+        if i:
+            lagged = z[i - 1 :: -1].transpose(1, 0, 2).reshape(d, -1)
+            x[i] += lagged @ steps[:i].reshape(-1, d)
+    want = rounded(x, kq + kd)
+
+    running = np.cumsum(np.concatenate([psi[-1:], gq]), axis=0)
+    phi = np.concatenate([psi[:-1], running])
+    scale = np.zeros(rows)
+    for r in range(depth + 1):
+        n = rows - r * (m + 1)
+        if r:
+            phi = np.cumsum(phi[:n], axis=0)
+        size = rounded(np.abs(phi).max(axis=(1, 2)), kd)
+        scale[r * (m + 1) :] += np.abs(qf[r]).sum(axis=1).max() * size
+    return want, scale
 
 
 def solve_general_data(sys, hist, g, kind, n_steps):
@@ -328,27 +396,29 @@ def solve_general_data(sys, hist, g, kind, n_steps):
 
 
 class TestDiscreteConvolution:
-    """The lag-batched convolution against the double-loop sum."""
+    """The repeated-sum kernel against the representation formula."""
 
     @pytest.mark.parametrize("kind", ["none", "array", "callable"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_matches_the_double_loop(self, d, m, kind):
+        # the exact sum can cancel, so each row is held to the rounding
+        # the kernel's terms allow, not to the size of the row
+        eps = np.finfo(float).eps
         rng = np.random.default_rng([d, m])
         sys = random_system(rng, d, "discrete", m=m, entry_scale=1.0 / d)
         for n_steps in (0, 1, m, m + 1, 60):
             hist = rng.uniform(-1.0, 1.0, size=(m + 1, d, d))
             g = rng.uniform(-1.0, 1.0, size=(n_steps, d, d))
             got, g = solve_general_data(sys, hist, g, kind, n_steps)
-            want = double_loop_reference(sys, hist, g, n_steps)
+            want, scale = exact_representation(sys, hist, g, n_steps)
             assert got.shape == want.shape
-            # per delay window, relative to the window's magnitude
-            for a in range(0, m + n_steps + 1, m + 1):
-                window = want[a : a + m + 1]
-                gap = max_abs(got[a : a + m + 1] - window)
-                assert gap <= 1e-12 * max_abs(window), (
-                    f"N={n_steps}, rows from u={a - m}: {gap:.3e}"
-                )
+            gap = np.abs(got - want).max(axis=(1, 2))
+            worst = int(np.argmax(gap / scale))
+            assert np.all(gap <= 8 * eps * scale), (
+                f"N={n_steps}, u={worst - m}: {gap[worst]:.3e} against "
+                f"scale {scale[worst]:.3e}"
+            )
 
     @pytest.mark.parametrize("kind", ["none", "array", "callable"])
     @pytest.mark.parametrize("m", [1, 2, 3])
