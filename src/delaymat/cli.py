@@ -169,12 +169,13 @@ def build_parser():
     )
     verify.add_argument(
         "--substeps", type=int, default=2048,
-        help="integrator substeps per delay window (default 2048)",
+        help="rows per delay window at which the exact continuous oracle "
+        "is sampled and compared (default 2048, at least 16)",
     )
     verify.add_argument(
         "--tol", type=float, default=None, metavar="X",
         help="failure threshold on each window's gap relative to "
-        "max(|oracle|, 1) (default 1e-6 continuous, 1e-9 discrete)",
+        "max(|oracle|, 1) (default 1e-10 continuous, 1e-9 discrete)",
     )
     verify.add_argument("--allow-noncommuting-data", action="store_true")
 
@@ -431,7 +432,7 @@ def _cmd_verify(args):
     if sys_.is_continuous:
         if horizon <= 0:
             _flag_error("--to must be positive", "--to")
-        tol = 1e-6 if args.tol is None else args.tol
+        tol = 1e-10 if args.tol is None else args.tol
         x = solve_continuous(
             sys_, history, forcing, horizon,
             allow_noncommuting_data=args.allow_noncommuting_data,

@@ -1,8 +1,14 @@
-"""Brute-force reference integrators: worked-example agreement, 4th-order
-convergence, the vectorized sweep end to end, and the literal discrete
+"""Brute-force reference integrators: worked-example agreement, the
+exact method of steps against its own ``Fraction`` run and against a
+literal one-interval-at-a-time reference, grid independence, the import
+set that keeps the oracle independent, and the literal discrete
 recursion."""
 
 from __future__ import annotations
+
+import ast
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from delaymat import (
     IntegratorConfig,
     fixtures,
     integrate_continuous,
+    oracle,
     solve_continuous,
     solve_discrete,
     step_discrete,
@@ -27,6 +34,30 @@ from delaymat.generators import (
 )
 from delaymat.linalg import max_abs
 from delaymat.ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
+
+EPS = np.finfo(float).eps
+
+
+def window_rel_gaps(values, ref, n):
+    """``max|values - ref| / max|ref|`` over each delay window of ``n``
+    rows (both ends included), for stacks on one oracle grid."""
+    return [
+        max_abs(values[k * n : (k + 1) * n + 1] - ref[k * n : (k + 1) * n + 1])
+        / max_abs(ref[k * n : (k + 1) * n + 1])
+        for k in range((ref.shape[0] - 1 + n - 1) // n)
+    ]
+
+
+def closed_form_gap(table, exact, sigma):
+    """Largest gap between the oracle table and the closed form over the
+    delay windows, relative to ``max(|oracle|, 1)`` per window."""
+    index = np.floor(table.times / sigma + 1e-9)
+    closed = exact.eval(table.times)
+    return max(
+        max_abs(closed[index == k] - table.values[index == k])
+        / max(max_abs(table.values[index == k]), 1.0)
+        for k in np.unique(index)
+    )
 
 
 class TestContinuousIntegrator:
@@ -61,48 +92,48 @@ class TestContinuousIntegrator:
 
     @pytest.mark.parametrize("horizon", [2.0, 2.5, 2.0 + 1e-10])
     def test_output_is_a_view_of_the_kept_prefix(
-        self, monkeypatch, ex1_system, ex1_history, ex1_forcing, horizon
+        self, ex1_system, ex1_history, ex1_forcing, horizon
     ):
         # the rows kept are those of the old mask grid <= horizon (+ slack),
-        # returned as views of the sweep's state stack instead of copies
-        from delaymat import _kernels
-
-        swept = []
-        sweep = _kernels.sweep
-        monkeypatch.setattr(
-            _kernels, "sweep", lambda *a: swept.append(sweep(*a)) or swept[-1]
-        )
+        # and the output holds those rows and nothing beyond them
         config = IntegratorConfig(substeps_per_delay=16)
         table = integrate_continuous(
             ex1_system, ex1_history, ex1_forcing, horizon, config
         )
-        grid = -1.0 + np.arange(swept[0].shape[0]) / 16
+        windows = int(np.ceil(horizon - 1e-12))
+        grid = -1.0 + np.arange((windows + 1) * 16 + 1) / 16
         keep = grid <= horizon + 1e-9
-        np.testing.assert_array_equal(table.values, swept[0][keep])
         np.testing.assert_array_equal(table.times, grid[keep])
-        assert np.shares_memory(table.values, swept[0])
+        assert table.values.shape == (int(keep.sum()), 2, 2)
+        assert table.values.base is None
 
-    def test_fourth_order_convergence(self):
+    def test_grid_independence(self):
+        # the pieces do not depend on the grid: at the times the grids
+        # share, n = 16, 64 and 2048 agree to within 4 eps of each
+        # window's size (sigma = 0.7 keeps the knots off binary fractions)
         rng = np.random.default_rng(902)
-        sys = random_system(rng, 3, "continuous", entry_scale=0.6)
+        sys = random_system(rng, 3, "continuous", sigma=0.7, entry_scale=0.6)
         hist = random_scalar_history(rng, sys)
-        exact = solve_continuous(sys, hist, None, 5.0)
-
-        def err(n):
-            table = integrate_continuous(
-                sys, hist, None, 5.0, IntegratorConfig(substeps_per_delay=n)
+        force = random_scalar_forcing(rng, sys, 3.5)
+        tables = {
+            n: integrate_continuous(
+                sys, hist, force, 3.5, IntegratorConfig(substeps_per_delay=n)
             )
-            return max_abs(table.at_time(4.5) - exact.eval(4.5))
-
-        e32, e64, e128 = err(32), err(64), err(128)
-        assert e32 > 1e-12, "coarse error too small to measure a rate"
-        assert 10.0 <= e32 / e64 <= 24.0, (e32, e64)
-        assert 10.0 <= e64 / e128 <= 24.0, (e64, e128)
+            for n in (16, 64, 2048)
+        }
+        coarse = tables[16]
+        for n in (64, 2048):
+            fine = tables[n]
+            np.testing.assert_allclose(
+                fine.times[:: n // 16], coarse.times, rtol=0, atol=1e-15
+            )
+            gaps = window_rel_gaps(fine.values[:: n // 16], coarse.values, 16)
+            assert max(gaps) <= 4 * EPS, f"n={n}: {max(gaps) / EPS:.1f} eps"
 
     def test_forcing_jump_on_a_grid_node_costs_no_accuracy(self):
         # piecewise-constant forcing with a jump halfway through the
-        # horizon: the integrator must close the substep ending at the
-        # jump with the left limit, not the new value
+        # horizon: the jump is a knot of the exact pieces, wherever it
+        # falls on the grid
         rng = np.random.default_rng(903)
         sys = random_system(rng, 2, "continuous", entry_scale=0.5)
         hist = random_scalar_history(rng, sys)
@@ -119,8 +150,8 @@ class TestContinuousIntegrator:
         )
         exact = solve_continuous(sys, hist, force, 5.0)
         table = integrate_continuous(sys, hist, force, 5.0)
-        diff = max_abs(table.values - exact.eval(table.times))
-        assert diff <= 1e-6, f"max |closed form - integrator| = {diff:.3e}"
+        diff = closed_form_gap(table, exact, sys.sigma)
+        assert diff <= 1e-10, f"|closed form - integrator| = {diff:.3e} rel"
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_closed_form_on_random_commuting_data(self, seed):
@@ -130,8 +161,8 @@ class TestContinuousIntegrator:
         force = random_scalar_forcing(rng, sys, 5.0)
         exact = solve_continuous(sys, hist, force, 5.0)
         table = integrate_continuous(sys, hist, force, 5.0)
-        diff = max_abs(table.values - exact.eval(table.times))
-        assert diff <= 1e-6, f"max |closed form - integrator| = {diff:.3e}"
+        diff = closed_form_gap(table, exact, sys.sigma)
+        assert diff <= 1e-10, f"|closed form - integrator| = {diff:.3e} rel"
 
     def test_domain_and_kind_validation(
         self, ex1_system, ex2_system, ex1_history, ex1_forcing
@@ -230,54 +261,61 @@ def random_ppoly(rng, d, lo, hi):
     return PiecewiseMatrixPolynomial(np.linspace(lo, hi, 3), pieces)
 
 
+def padded_sum(*stacks):
+    """Sum of coefficient stacks of different lengths."""
+    out = np.zeros((max(c.shape[0] for c in stacks),) + stacks[0].shape[1:])
+    for c in stacks:
+        out[: c.shape[0]] += c
+    return out
+
+
 def reference_integrate(sys, psi, g, horizon, n):
-    """The sweep as it was before it went window-at-a-time: forcing on
-    full-horizon arrays, ``f_lo + 4 f_mid + f_hi`` increments and
-    ``np.cumsum``.  Returns the whole state stack and its grid."""
+    """A literal method of steps from ppoly's own calculus, one interval
+    at a time: each interval's delayed piece is re-expanded with
+    ``MatrixPolynomial.shift``, its forcing piece comes from
+    ``pieces_in``, the integrand is integrated with ``antiderivative``,
+    and each window is evaluated with ``PiecewiseMatrixPolynomial.eval``.
+    Returns the oracle's grid and the values on it."""
     sigma = sys.sigma
     windows = max(1, int(np.ceil(horizon / sigma - 1e-12)))
-    h = sigma / n
-    d = sys.dim
-    grid = -sigma + h * np.arange((windows + 1) * n + 1)
-    hist = psi.eval(grid[: n + 1])
-    hist_mid = psi.eval(grid[:n] + 0.5 * h)
-    if g is None:
-        g_grid = np.zeros((windows * n + 1, d, d))
-        g_mid = np.zeros((windows * n, d, d))
-        g_end = np.zeros((windows * n, d, d))
-    else:
-        g_grid = g.eval(grid[n:])
-        g_mid = g.eval(grid[n:-1] + 0.5 * h)
-        g_end = g.eval_left(grid[n + 1 :])
-
-    def midpoints(y):
-        mid = np.empty((y.shape[0] - 1,) + y.shape[1:])
-        mid[1:-1] = (-y[:-3] + 9.0 * y[1:-2] + 9.0 * y[2:-1] - y[3:]) / 16.0
-        mid[0] = (5.0 * y[0] + 15.0 * y[1] - 5.0 * y[2] + y[3]) / 16.0
-        mid[-1] = (y[-4] - 5.0 * y[-3] + 15.0 * y[-2] + 5.0 * y[-1]) / 16.0
-        return mid
-
-    a0, a1 = sys.a0, sys.a1
-    x = np.zeros(((windows + 1) * n + 1, d, d))
-    x[: n + 1] = hist
+    grid = -sigma + (sigma / n) * np.arange((windows + 1) * n + 1)
+    x = np.zeros((grid.size,) + psi.left_value.shape)
+    x[:n] = psi.eval(grid[:n])
+    prev = psi
+    x_start = psi.eval(0.0)
     for k in range(windows):
-        base = (k + 1) * n
-        xd = x[k * n : (k + 1) * n + 1]
-        xd_mid = hist_mid if k == 0 else midpoints(xd)
-        fx = a0 @ xd + xd @ a1
-        f_mid = a0 @ xd_mid + xd_mid @ a1 + g_mid[k * n : (k + 1) * n]
-        f_lo = fx[:-1] + g_grid[k * n : (k + 1) * n]
-        f_hi = fx[1:] + g_end[k * n : (k + 1) * n]
-        inc = (h / 6.0) * (f_lo + 4.0 * f_mid + f_hi)
-        x[base + 1 : base + n + 1] = x[base] + np.cumsum(inc, axis=0)
+        lo, hi = k * sigma, (k + 1) * sigma
+        delayed = [
+            (a + sigma, b + sigma, poly)
+            for a, b, poly in prev.pieces_in(lo - sigma, hi - sigma)
+        ]
+        knots = {lo, hi, *(a for a, _, _ in delayed)}
+        if g is not None:
+            knots.update(b for b in g.breakpoints if lo < b < hi)
+        cuts = sorted(knots)
+        pieces = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            da, _, poly = next(t for t in delayed if t[0] <= (a + b) / 2 < t[1])
+            dpoly = poly.shift(a - da)
+            terms = [dpoly.lmul(sys.a0).coeffs, dpoly.rmul(sys.a1).coeffs]
+            if g is not None:
+                terms.append(g.pieces_in(a, b)[0][2].coeffs)
+            piece = MatrixPolynomial(padded_sum(*terms)).antiderivative()
+            piece = MatrixPolynomial(padded_sum(piece.coeffs, x_start[None]))
+            pieces.append(piece)
+            x_start = piece.eval(b - a)
+        prev = PiecewiseMatrixPolynomial(cuts, pieces)
+        rows = slice((k + 1) * n, (k + 2) * n + (k == windows - 1))
+        x[rows] = prev.eval(grid[rows])
     return grid, x
 
 
 class TestSweepAgainstReference:
-    """The window-at-a-time sweep against the full-horizon reference
-    above: same grid, and per delay window the same values to within
-    8 eps of the window's magnitude (only the half-grid stencil sums in
-    another order)."""
+    """The oracle's batched method of steps (merged knots, re-expansion
+    by synthetic division, blocked Horner sampling) against the literal
+    reference above: same grid, and per delay window the same values to
+    within 16 eps of the window's magnitude (the two re-expand and
+    evaluate by different rules)."""
 
     @pytest.mark.parametrize("jump", [False, True])
     @pytest.mark.parametrize("windows", [1, 2, 3])
@@ -305,16 +343,12 @@ class TestSweepAgainstReference:
         )
         grid, ref = reference_integrate(sys, psi, g, horizon, n)
         np.testing.assert_array_equal(table.times, grid)
-        eps = np.finfo(float).eps
-        for k in range(windows + 1):
-            rows = slice(k * n, (k + 1) * n + 1)
-            scale = max_abs(ref[rows])
-            err = max_abs(table.values[rows] - ref[rows])
-            assert err <= 8 * eps * scale, f"window {k}: {err / scale:.2e} rel"
+        gaps = window_rel_gaps(table.values, ref, n)
+        assert max(gaps) <= 16 * EPS, [f"{gap / EPS:.1f} eps" for gap in gaps]
 
 
 class TestNumpySweep:
-    """The vectorized numpy sweep, the integrator's only kernel."""
+    """The numpy method of steps end to end against the closed form."""
 
     @pytest.fixture
     def problem(self):
@@ -330,4 +364,121 @@ class TestNumpySweep:
             sys, hist, force, 3.0, IntegratorConfig(substeps_per_delay=64)
         )
         exact = solve_continuous(sys, hist, force, 3.0)
-        assert max_abs(table.at_time(2.5) - exact.eval(2.5)) <= 1e-4
+        assert closed_form_gap(table, exact, sys.sigma) <= 1e-10
+
+
+def as_fractions(a):
+    return np.vectorize(Fraction, otypes=[object])(a)
+
+
+def fraction_data(ppoly):
+    """The oracle's ``(knots, coefficient stacks, left value)`` triple of
+    piecewise data, as ``Fraction`` values."""
+    knots, coeffs, left = oracle._data(ppoly)
+    knots = [Fraction(b) for b in knots]
+    return knots, [as_fractions(c) for c in coeffs], as_fractions(left)
+
+
+def fraction_run(sys, psi, g, windows):
+    """The oracle's pieces computed on ``Fraction`` object arrays."""
+    return oracle._window_pieces(
+        as_fractions(sys.a0), as_fractions(sys.a1), Fraction(sys.sigma),
+        fraction_data(psi), fraction_data(g), windows,
+    )
+
+
+def knotty_problem(rng, windows):
+    """d = 2, dyadic sigma = 0.75, history knots off the delay grid (and
+    past 0), forcing knots off the grid and one forcing jump on grid
+    node 8 of the last window when n = 16."""
+    d, sigma = 2, 0.75
+    sys = random_system(rng, d, "continuous", sigma=sigma)
+    psi = PiecewiseMatrixPolynomial(
+        [-0.75, -0.3, 0.1],
+        [MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(3, d, d))) for _ in range(2)],
+    )
+    horizon = windows * sigma
+    g = PiecewiseMatrixPolynomial(
+        [0.0, 0.3 * windows, (windows - 0.5) * sigma, horizon + 0.2],
+        [MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(k, d, d))) for k in (3, 1, 2)],
+    )
+    return sys, psi, g, horizon
+
+
+class TestExactAgainstFraction:
+    """The float oracle against the same method of steps run on
+    ``Fraction`` object arrays, which is exact."""
+
+    @pytest.mark.parametrize("windows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float_run_matches_the_exact_run(self, seed, windows):
+        # per delay window within 16 eps of the window's magnitude
+        n = 16
+        sys, psi, g, horizon = knotty_problem(
+            np.random.default_rng([960, seed, windows]), windows
+        )
+        table = integrate_continuous(
+            sys, psi, g, horizon, IntegratorConfig(substeps_per_delay=n)
+        )
+        times = np.array([Fraction(t) for t in table.times.tolist()], dtype=object)
+        exact = np.empty(table.values.shape, dtype=object)
+        oracle._sample(fraction_run(sys, psi, g, windows), times, n, exact)
+        gaps = window_rel_gaps(table.values, exact.astype(float), n)
+        assert max(gaps) <= 16 * EPS, [f"{gap / EPS:.1f} eps" for gap in gaps]
+
+    def test_exact_run_satisfies_the_defining_equation(self):
+        # with no rounding, each piece's derivative equals
+        # A0 X(t - sigma) + X(t - sigma) A1 + G(t) exactly, at the
+        # piece's midpoint, and the pieces join without a gap
+        windows = 3
+        sys, psi, g, _ = knotty_problem(np.random.default_rng(961), windows)
+        pieces = fraction_run(sys, psi, g, windows)
+        a0, a1 = as_fractions(sys.a0), as_fractions(sys.a1)
+        sigma = Fraction(sys.sigma)
+        g_data = fraction_data(g)
+
+        def value(window, t):
+            knots, coeffs = pieces[window]
+            j = min(np.searchsorted(knots, t, side="right"), len(coeffs)) - 1
+            return oracle._horner(coeffs[j], t - knots[j])
+
+        for w in range(1, windows + 1):
+            knots, coeffs = pieces[w]
+            for j, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
+                t = (a + b) / 2
+                slope = np.arange(1, coeffs.shape[1]).astype(object)[:, None, None]
+                dx = oracle._horner(coeffs[j, 1:] * slope, t - a)
+                delayed = value(w - 1, t - sigma)
+                rhs = a0 @ delayed + delayed @ a1 + oracle._value_at(g_data, t)
+                assert (dx == rhs).all(), f"window {w}, piece {j}"
+                if j + 1 < len(coeffs):
+                    after = coeffs[j + 1, 0]
+                elif w < windows:
+                    after = pieces[w + 1][1][0, 0]
+                else:
+                    continue
+                end = oracle._horner(coeffs[j], b - a)
+                assert (end == after).all(), f"window {w}, knot {b}"
+
+
+class TestOracleIndependence:
+    def test_imports_nothing_from_the_closed_form(self):
+        # the oracle may read the data's ppoly fields and nothing else of
+        # the package's closed-form machinery
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        banned = {"qseq", "fundamental", "solve", "linalg", "ppoly"}
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").rpartition(".")[2]
+                for alias in node.names:
+                    if module in ("", "delaymat"):
+                        found.append((alias.name, None))
+                    else:
+                        found.append((module, alias.name))
+            elif isinstance(node, ast.Import):
+                found += [(a.name.rpartition(".")[2], None) for a in node.names]
+        assert ("ppoly", "PiecewiseMatrixPolynomial") in found
+        for module, name in found:
+            if (module, name) != ("ppoly", "PiecewiseMatrixPolynomial"):
+                assert module not in banned and module != "delaymat", (module, name)
