@@ -18,6 +18,7 @@ integrators (:mod:`delaymat.oracle`) cross-check every closed form.
 
 from .errors import (
     CommutationError,
+    DataMismatch,
     DegreeCapExceeded,
     DelayMatError,
     DimensionMismatch,
@@ -31,7 +32,7 @@ from .fundamental import (
     fundamental_commutative_continuous,
     fundamental_commutative_discrete,
 )
-from .linalg import binomial, commutes, sylvester_apply
+from .linalg import binomial, commutes
 from .oracle import IntegratorConfig, integrate_continuous, step_discrete
 from .ppoly import (
     MAX_DEGREE,
@@ -43,9 +44,7 @@ from .qseq import QTable, build_q_table, q_commutative_closed_form
 from .solve import (
     HypothesisReport,
     solve_continuous,
-    solve_continuous_homogeneous,
     solve_discrete,
-    solve_discrete_homogeneous,
     validate_hypotheses,
 )
 from .system import DelaySystem, ForcingSpec, HistorySpec, TrajectoryTable
@@ -60,12 +59,12 @@ __all__ = [
     "DegreeCapExceeded",
     "CommutationError",
     "HypothesisViolation",
+    "DataMismatch",
     "SchemaError",
     "UnsupportedHypothesisWarning",
     # linear algebra helpers
     "binomial",
     "commutes",
-    "sylvester_apply",
     # piecewise polynomials
     "MAX_DEGREE",
     "MatrixPolynomial",
@@ -89,9 +88,7 @@ __all__ = [
     "HypothesisReport",
     "validate_hypotheses",
     "solve_continuous",
-    "solve_continuous_homogeneous",
     "solve_discrete",
-    "solve_discrete_homogeneous",
     # brute-force oracles
     "IntegratorConfig",
     "integrate_continuous",

@@ -24,6 +24,18 @@ class HypothesisViolation(DelayMatError):
     apply."""
 
 
+class DataMismatch(DelayMatError, ValueError):
+    """History or forcing data does not fit the system or the horizon.
+
+    ``role`` names the data at fault, ``"history"`` or ``"forcing"``, and
+    starts the message.
+    """
+
+    def __init__(self, role, message):
+        self.role = role
+        super().__init__(f"{role} {message}")
+
+
 class SchemaError(DelayMatError):
     """An input file does not match the documented schema.
 

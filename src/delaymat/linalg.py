@@ -1,8 +1,6 @@
 """Dense matrix helpers shared by every other module.
 
 Everything here operates on plain ``(d, d)`` float64 ndarrays.
-:func:`sylvester_apply` is one step ``M -> A0 @ M + M @ A1`` of the
-iteration that builds the coefficients of both closed forms.
 :func:`binomial` is an exact integer binomial (negative upper arguments
 too); the closed forms build their binomial weights as repeated sums or
 integrals, so it serves only the commutative cross-checks and
@@ -20,7 +18,6 @@ from .errors import DimensionMismatch
 __all__ = [
     "as_square_matrix",
     "max_abs",
-    "sylvester_apply",
     "commutes",
     "binomial",
 ]
@@ -44,26 +41,6 @@ def max_abs(mat):
     """Max-abs (Chebyshev) norm of a matrix or stack of matrices."""
     mat = np.asarray(mat, dtype=float)
     return 0.0 if mat.size == 0 else float(np.max(np.abs(mat)))
-
-
-def sylvester_apply(a0, a1, m):
-    """Return ``a0 @ m + m @ a1``.
-
-    This is one application of the Sylvester-type operator whose iterates
-    on the identity build the coefficient sequence of both closed forms.
-    Left multiplication by ``a0`` and right multiplication by ``a1``
-    commute with each other as operators, which is what makes the
-    binomial expansion of the iterates valid for *any* coefficient pair.
-    """
-    a0 = as_square_matrix(a0, "a0")
-    a1 = as_square_matrix(a1, "a1")
-    m = as_square_matrix(m, "m")
-    if not (a0.shape == a1.shape == m.shape):
-        raise DimensionMismatch(
-            f"operands must share one square shape, got {a0.shape}, "
-            f"{a1.shape}, {m.shape}"
-        )
-    return a0 @ m + m @ a1
 
 
 def commutes(p, q, tol=None):

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ppoly import PiecewiseMatrixPolynomial
-from .system import ForcingSpec, HistorySpec, TrajectoryTable
+from .system import TrajectoryTable, continuous_data, discrete_data
 
 __all__ = ["IntegratorConfig", "integrate_continuous", "step_discrete"]
 
@@ -76,28 +75,6 @@ class IntegratorConfig:
                 f"substeps_per_delay must be >= {MIN_SUBSTEPS}, got {n}"
             )
         object.__setattr__(self, "substeps_per_delay", n)
-
-
-def _history_ppoly(history):
-    if isinstance(history, HistorySpec):
-        if history.kind != "continuous":
-            raise ValueError("integrate_continuous needs a continuous history")
-        return history.ppoly
-    if isinstance(history, PiecewiseMatrixPolynomial):
-        return history
-    raise TypeError(f"unsupported history type {type(history).__name__}")
-
-
-def _forcing_ppoly(forcing):
-    if forcing is None:
-        return None
-    if isinstance(forcing, ForcingSpec):
-        if forcing.kind != "continuous":
-            raise ValueError("integrate_continuous needs continuous forcing")
-        return forcing.ppoly
-    if isinstance(forcing, PiecewiseMatrixPolynomial):
-        return forcing
-    raise TypeError(f"unsupported forcing type {type(forcing).__name__}")
 
 
 def _data(ppoly):
@@ -248,32 +225,17 @@ def integrate_continuous(sys, history, forcing, horizon, config=None):
     ``substeps_per_delay`` rows per window).
 
     ``history`` must cover ``[-sigma, 0]`` and ``forcing`` (when given)
-    ``[0, horizon]``.  The solution is built piece by piece by the method
-    of steps (see the module docstring), so the only errors are those of
-    float arithmetic on the pieces, and knots or forcing jumps anywhere,
-    on grid nodes or between them, cost no accuracy.
+    ``[0, horizon]``, or extend to the right
+    (:func:`~delaymat.system.continuous_data` decides).  The solution is
+    built piece by piece by the method of steps (see the module
+    docstring), so the only errors are those of float arithmetic on the
+    pieces, and knots or forcing jumps anywhere, on grid nodes or between
+    them, cost no accuracy.
     """
-    if not sys.is_continuous:
-        raise ValueError("integrate_continuous needs a continuous system")
+    psi, g = continuous_data(sys, history, forcing, horizon)
     horizon = float(horizon)
-    if not np.isfinite(horizon) or horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     config = config or IntegratorConfig()
-    psi = _history_ppoly(history)
-    g = _forcing_ppoly(forcing)
     sigma = sys.sigma
-    hb = psi.breakpoints
-    if hb[0] > -sigma + 1e-12 * sigma or hb[-1] < -1e-12 * sigma:
-        raise ValueError(
-            f"history domain [{hb[0]}, {hb[-1]}] does not cover [-{sigma}, 0]"
-        )
-    if g is not None:
-        gb = g.breakpoints
-        if gb[0] > 1e-12 * sigma or gb[-1] < horizon - 1e-12 * sigma:
-            raise ValueError(
-                f"forcing domain [{gb[0]}, {gb[-1]}] does not cover [0, {horizon}]"
-            )
-
     n = config.substeps_per_delay
     windows = max(1, math.ceil(horizon / sigma - 1e-12))
     grid = -sigma + (sigma / n) * np.arange((windows + 1) * n + 1)
@@ -291,34 +253,8 @@ def integrate_continuous(sys, history, forcing, horizon, config=None):
 def step_discrete(sys, history, forcing, n_steps):
     """Run the one-step recursion ``X(u+1) = X(u) + A0 X(u-m) +
     X(u-m) A1 + G(u)`` and return the table for ``u = -m .. n_steps``."""
-    if sys.is_continuous:
-        raise ValueError("step_discrete needs a discrete system")
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    m = sys.m
-    d = sys.dim
-    if isinstance(history, HistorySpec):
-        if history.kind != "discrete":
-            raise ValueError("step_discrete needs a discrete history")
-        hist = history.values
-    else:
-        hist = np.asarray(history, dtype=float)
-    if hist.shape != (m + 1, d, d):
-        raise ValueError(
-            f"history must have shape ({m + 1}, {d}, {d}), got {hist.shape}"
-        )
-    if forcing is None:
-        g = np.zeros((n_steps, d, d))
-    elif isinstance(forcing, ForcingSpec):
-        g = forcing.table(n_steps, d)
-    else:
-        g = np.asarray(forcing, dtype=float)[:n_steps]
-        if g.shape != (n_steps, d, d):
-            raise ValueError(
-                f"forcing must cover u = 0..{n_steps - 1}, got shape {g.shape}"
-            )
-
+    hist, g = discrete_data(sys, history, forcing, n_steps)
+    n_steps, m, d = g.shape[0], sys.m, sys.dim
     x = np.empty((m + n_steps + 1, d, d))
     x[: m + 1] = hist
     a0, a1 = sys.a0, sys.a1

@@ -164,9 +164,6 @@ class MatrixPolynomial:
         shifted = _shift_matrices([s], n)[0] @ flat
         return MatrixPolynomial(shifted.reshape(self.coeffs.shape))
 
-    def scale(self, c):
-        return MatrixPolynomial(self.coeffs * float(c))
-
     def lmul(self, mat):
         """Constant left factor: ``mat @ p(t)``."""
         return MatrixPolynomial(np.asarray(mat, dtype=float) @ self.coeffs)
@@ -334,36 +331,6 @@ class PiecewiseMatrixPolynomial:
             if b > a:
                 out.append((float(a), float(b), poly.shift(a - seg_lo)))
         return out
-
-    # -- algebra ---------------------------------------------------------
-
-    def scale(self, c):
-        return PiecewiseMatrixPolynomial(
-            self.breakpoints,
-            [p.scale(c) for p in self.pieces],
-            left_value=self.left_value * float(c),
-            right_extension=self.right_extension,
-        )
-
-    def lmul(self, mat):
-        """Constant left factor: ``mat @ p(t)``."""
-        mat = np.asarray(mat, dtype=float)
-        return PiecewiseMatrixPolynomial(
-            self.breakpoints,
-            [p.lmul(mat) for p in self.pieces],
-            left_value=mat @ self.left_value,
-            right_extension=self.right_extension,
-        )
-
-    def rmul(self, mat):
-        """Constant right factor: ``p(t) @ mat``."""
-        mat = np.asarray(mat, dtype=float)
-        return PiecewiseMatrixPolynomial(
-            self.breakpoints,
-            [p.rmul(mat) for p in self.pieces],
-            left_value=self.left_value @ mat,
-            right_extension=self.right_extension,
-        )
 
     def knot_jumps(self):
         """Max-abs value jump at each interior breakpoint (useful for

@@ -44,9 +44,14 @@ Both formulas place the data to the *right* of the kernel: in both sums
 equals its representation formula for any data.  The formula
 solves the equation only when the right coefficient ``A1`` commutes with
 every history and forcing value, since ``A1`` acts on ``Z`` from the
-right and would otherwise have to pass the data
-(:func:`validate_hypotheses` checks exactly that; scalar multiples of the
-identity always qualify).  A failed check raises
+right and would otherwise have to pass the data (scalar multiples of the
+identity always qualify).  :func:`validate_hypotheses` checks exactly
+that, on the matrices the data is made of: a polynomial's values commute
+with ``A1`` exactly when its coefficients do, so the continuous check
+reads each piece's local coefficients and the discrete check the values,
+and neither samples anything.  Which data fits a system and a horizon
+is decided in :mod:`delaymat.system`, once for the solvers and the
+oracles.  A failed check raises
 :class:`~delaymat.errors.HypothesisViolation` unless the caller forces
 the evaluation with ``allow_noncommuting_data=True``, in which case the
 result is a formal plug-in of the formula and an
@@ -75,15 +80,13 @@ from .ppoly import (
     running_antiderivative,
 )
 from .qseq import build_q_table
-from .system import ForcingSpec, HistorySpec, TrajectoryTable
+from .system import HistorySpec, TrajectoryTable, continuous_data, discrete_data
 
 __all__ = [
     "HypothesisReport",
     "validate_hypotheses",
     "solve_continuous",
-    "solve_continuous_homogeneous",
     "solve_discrete",
-    "solve_discrete_homogeneous",
 ]
 
 log = logging.getLogger(__name__)
@@ -91,18 +94,16 @@ log = logging.getLogger(__name__)
 #: Default commutation tolerance for the data hypothesis check.
 HYPOTHESIS_TOL = 1e-10
 
-#: Sample count for the continuous commutation check (plus all knots).
-_CHECK_GRID = 201
-
 
 @dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of the data commutation check.
 
-    Residuals are max-abs values of ``A1 V - V A1`` over the sampled
-    history/forcing matrices ``V``; ``scale`` is the max-abs of the
-    products entering them, so ``ok`` means every residual is within
-    ``tol`` relative to ``scale`` (with a floor of 1).
+    Residuals are max-abs values of ``A1 V - V A1`` over the matrices
+    ``V`` the history and forcing are made of (piece coefficients for
+    continuous data, values for discrete data); ``scale`` is the max-abs
+    of the products entering them, so ``ok`` means every residual is
+    within ``tol`` relative to ``scale`` (with a floor of 1).
     """
 
     kind: str
@@ -132,52 +133,33 @@ def _commutation_residual(a1, mats):
     return max_abs(left - right), max(1.0, max_abs(left), max_abs(right))
 
 
-def _continuous_samples(ppoly, lo, hi):
-    lo = max(lo, ppoly.start)
-    hi = min(hi, ppoly.end)
-    knots = ppoly.breakpoints
-    ts = np.concatenate([np.linspace(lo, hi, _CHECK_GRID), knots])
-    ts = ts[(ts >= lo) & (ts <= hi)]
-    return ppoly.eval(np.unique(ts))
+def _coefficients(ppoly, lo, hi):
+    """The local coefficients of every piece of ``ppoly`` on ``[lo, hi)``
+    as one ``(rows, d, d)`` stack."""
+    return np.concatenate([p.coeffs for _, _, p in ppoly.pieces_in(lo, hi)])
 
 
 def validate_hypotheses(sys, history, forcing=None, tol=HYPOTHESIS_TOL, steps=None):
     """Check that ``A1`` commutes with the history and forcing data.
 
-    Continuous data is sampled on a 201-point uniform grid plus every
-    knot; discrete data is checked value by value (``steps`` bounds the
-    range materialized from a callable forcing; solvers pass their own
-    horizon).
+    The check is exact for the data's own matrices: the local
+    coefficients of the history pieces on ``[-sigma, 0]`` and of every
+    forcing piece for continuous data, and every value for discrete data.
+    ``steps`` is the solve's horizon, a time or a step count, which the
+    data must cover; without it the forcing is checked over its own
+    domain, and a callable discrete forcing, which has none, is refused.
     """
-    a1 = sys.a1
     if sys.is_continuous:
-        psi = history.ppoly if isinstance(history, HistorySpec) else history
-        h_res, h_scale = _commutation_residual(
-            a1, _continuous_samples(psi, -sys.sigma, 0.0)
-        )
-        f_res = f_scale = None
-        if forcing is not None:
-            g = forcing.ppoly if isinstance(forcing, ForcingSpec) else forcing
-            f_res, f_scale = _commutation_residual(
-                a1, _continuous_samples(g, g.start, g.end)
-            )
+        psi, g = continuous_data(sys, history, forcing, steps)
+        hist = _coefficients(psi, -sys.sigma, 0.0)
+        g = None if g is None else _coefficients(g, g.start, g.end)
     else:
-        hist = history.values if isinstance(history, HistorySpec) else np.asarray(history, dtype=float)
-        h_res, h_scale = _commutation_residual(a1, hist)
-        f_res = f_scale = None
-        if forcing is not None:
-            if isinstance(forcing, ForcingSpec):
-                if forcing.values is not None:
-                    table = forcing.values
-                elif steps is None:
-                    raise ValueError(
-                        "callable forcing needs steps= to bound the check"
-                    )
-                else:
-                    table = forcing.table(steps, sys.dim)
-            else:
-                table = np.asarray(forcing, dtype=float)
-            f_res, f_scale = _commutation_residual(a1, table)
+        hist, g = discrete_data(sys, history, forcing, steps)
+        g = None if forcing is None else g
+    h_res, h_scale = _commutation_residual(sys.a1, hist)
+    f_res = f_scale = None
+    if g is not None:
+        f_res, f_scale = _commutation_residual(sys.a1, g)
 
     scale = max(h_scale, f_scale or 0.0)
     ok = h_res <= tol * scale and (f_res is None or f_res <= tol * scale)
@@ -207,17 +189,6 @@ def _enforce_hypotheses(report, allow):
         UnsupportedHypothesisWarning,
         stacklevel=3,
     )
-
-
-def _as_history_ppoly(history):
-    if isinstance(history, HistorySpec):
-        if history.kind != "continuous":
-            raise ValueError("continuous solve needs a continuous history")
-        return history.ppoly
-    if isinstance(history, PiecewiseMatrixPolynomial):
-        # wrap to get the C^1 certification
-        return HistorySpec.from_ppoly(history).ppoly
-    raise TypeError(f"unsupported history type {type(history).__name__}")
 
 
 def _data_integral(psi, g, sigma, horizon):
@@ -253,39 +224,14 @@ def solve_continuous(
 ):
     """Exact solution of the continuous initial value problem on
     ``[-sigma, horizon]`` as a piecewise matrix polynomial."""
-    if not sys.is_continuous:
-        raise ValueError("solve_continuous needs a continuous system")
-    horizon = float(horizon)
-    if not np.isfinite(horizon) or horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    sigma = sys.sigma
-    psi = _as_history_ppoly(history)
-    if psi.dim != sys.dim:
-        raise ValueError(
-            f"history dimension {psi.dim} does not match system {sys.dim}"
-        )
-    tiny = 1e-12 * sigma
-    if psi.start > -sigma + tiny or psi.end < -tiny:
-        raise ValueError(
-            f"history domain [{psi.start}, {psi.end}] does not cover "
-            f"[-{sigma}, 0]"
-        )
-    g = None
-    if forcing is not None:
-        g = forcing.ppoly if isinstance(forcing, ForcingSpec) else forcing
-        if g.dim != sys.dim:
-            raise ValueError(
-                f"forcing dimension {g.dim} does not match system {sys.dim}"
-            )
-        if g.start > tiny or (g.end < horizon - tiny and not g.right_extension):
-            raise ValueError(
-                f"forcing domain [{g.start}, {g.end}] does not cover "
-                f"[0, {horizon}]"
-            )
-
-    report = validate_hypotheses(sys, psi, g, tol=hypothesis_tol)
+    psi, g = continuous_data(sys, history, forcing, horizon)
+    # the formula reads the history's derivative, so it must be C^1
+    HistorySpec.from_ppoly(psi)
+    report = validate_hypotheses(sys, psi, g, tol=hypothesis_tol, steps=horizon)
     _enforce_hypotheses(report, allow_noncommuting_data)
 
+    horizon = float(horizon)
+    sigma = sys.sigma
     windows = delay_windows(horizon, sigma)
     q = build_q_table(sys.a0, sys.a1, windows)
     x = convolve_kernel(q.mats, sigma, _data_integral(psi, g, sigma, horizon),
@@ -295,25 +241,6 @@ def solve_continuous(
         sys.dim, sigma, horizon, len(x.pieces), x.degree,
     )
     return x
-
-
-def solve_continuous_homogeneous(
-    sys,
-    history,
-    horizon,
-    *,
-    allow_noncommuting_data=False,
-    hypothesis_tol=HYPOTHESIS_TOL,
-):
-    """Homogeneous special case of :func:`solve_continuous`."""
-    return solve_continuous(
-        sys,
-        history,
-        None,
-        horizon,
-        allow_noncommuting_data=allow_noncommuting_data,
-        hypothesis_tol=hypothesis_tol,
-    )
 
 
 def solve_discrete(
@@ -327,36 +254,9 @@ def solve_discrete(
 ):
     """Exact solution of the discrete initial value problem for
     ``u = -m .. n_steps`` via the closed-form sums."""
-    if sys.is_continuous:
-        raise ValueError("solve_discrete needs a discrete system")
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    m = sys.m
-    d = sys.dim
-    if isinstance(history, HistorySpec):
-        if history.kind != "discrete":
-            raise ValueError("discrete solve needs a discrete history")
-        hist = history.values
-    else:
-        hist = np.asarray(history, dtype=float)
-    if hist.shape != (m + 1, d, d):
-        raise ValueError(
-            f"history must have shape ({m + 1}, {d}, {d}), got {hist.shape}"
-        )
-    if forcing is None:
-        g = np.zeros((n_steps, d, d))
-    elif isinstance(forcing, ForcingSpec):
-        g = forcing.table(n_steps, d)
-    else:
-        g = np.asarray(forcing, dtype=float)
-        if g.shape[0] < n_steps:
-            raise ValueError(
-                f"forcing must cover u = 0..{n_steps - 1}, got {g.shape[0]} rows"
-            )
-        g = g[:n_steps]
-
-    report = validate_hypotheses(sys, hist, g, tol=hypothesis_tol)
+    hist, g = discrete_data(sys, history, forcing, n_steps)
+    n_steps, m, d = g.shape[0], sys.m, sys.dim
+    report = validate_hypotheses(sys, hist, g, tol=hypothesis_tol, steps=n_steps)
     _enforce_hypotheses(report, allow_noncommuting_data)
 
     # Phi_0: the history on -m .. 0, then Psi(0) + G(0) + .. + G(u - 1)
@@ -367,22 +267,3 @@ def solve_discrete(
     times = np.arange(-m, n_steps + 1, dtype=float)
     log.info("solve(discrete): d=%d m=%d steps=%d", d, m, n_steps)
     return TrajectoryTable(kind="discrete", times=times, values=out)
-
-
-def solve_discrete_homogeneous(
-    sys,
-    history,
-    n_steps,
-    *,
-    allow_noncommuting_data=False,
-    hypothesis_tol=HYPOTHESIS_TOL,
-):
-    """Homogeneous special case of :func:`solve_discrete`."""
-    return solve_discrete(
-        sys,
-        history,
-        None,
-        n_steps,
-        allow_noncommuting_data=allow_noncommuting_data,
-        hypothesis_tol=hypothesis_tol,
-    )

@@ -12,6 +12,10 @@ wrap the initial segment and inhomogeneity in the shape each family
 needs (a piecewise polynomial, or per-index matrices); and
 ``TrajectoryTable`` is the common sampled-output type shared by the
 discrete solvers and the brute-force integrators.
+
+:func:`continuous_data` and :func:`discrete_data` decide, once for the
+solvers and the oracles alike, whether data fits a system and a
+horizon, and hand it back in the one shape the arithmetic reads.
 """
 
 from __future__ import annotations
@@ -20,11 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DataMismatch, DimensionMismatch
 from .linalg import as_square_matrix
 from .ppoly import PiecewiseMatrixPolynomial
 
-__all__ = ["DelaySystem", "HistorySpec", "ForcingSpec", "TrajectoryTable"]
+__all__ = [
+    "DelaySystem",
+    "HistorySpec",
+    "ForcingSpec",
+    "TrajectoryTable",
+    "continuous_data",
+    "discrete_data",
+]
 
 #: Knot mismatch allowed when certifying a history as C^1.
 HISTORY_SMOOTHNESS_TOL = 1e-9
@@ -196,8 +207,8 @@ class ForcingSpec:
             return np.zeros((0, dim, dim))
         if self.values is not None:
             if self.values.shape[0] < n:
-                raise ValueError(
-                    f"forcing table has {self.values.shape[0]} entries, need {n}"
+                raise DataMismatch(
+                    "forcing", f"table has {self.values.shape[0]} entries, need {n}"
                 )
             return self.values[:n]
         out = np.stack([as_square_matrix(self.fn(u), f"G({u})") for u in range(n)])
@@ -249,3 +260,101 @@ class TrajectoryTable:
         if abs(self.times[idx] - t) > tol:
             raise KeyError(f"no sample at t={t} (nearest: {self.times[idx]})")
         return self.values[idx]
+
+
+def _check_kind(data, spec, role, kind):
+    """Refuse a ``spec`` of the other family; anything else passes."""
+    if isinstance(data, spec) and data.kind != kind:
+        raise DataMismatch(role, f"is {data.kind} data, the system is {kind}")
+
+
+def _continuous_ppoly(data, spec, role, dim):
+    _check_kind(data, spec, role, "continuous")
+    if isinstance(data, spec):
+        data = data.ppoly
+    elif not isinstance(data, PiecewiseMatrixPolynomial):
+        raise TypeError(f"unsupported {role} type {type(data).__name__}")
+    if data.dim != dim:
+        raise DataMismatch(role, f"dimension {data.dim} does not match system {dim}")
+    return data
+
+
+def continuous_data(sys, history, forcing, horizon=None):
+    """The data of a continuous problem as piecewise polynomials ``(psi,
+    g)``, with ``g`` ``None`` when there is no forcing.
+
+    ``history`` is a continuous :class:`HistorySpec` or a bare
+    :class:`~delaymat.ppoly.PiecewiseMatrixPolynomial` (taken as it is,
+    jumps and all) and must cover ``[-sigma, 0]``.  ``forcing`` is
+    ``None``, a continuous :class:`ForcingSpec` or a bare piecewise
+    polynomial, and must cover ``[0, horizon]`` unless its last piece
+    extends to the right (``right_extension``).  Without a horizon the
+    forcing must only start at 0.  Domains may fall short by
+    ``1e-12 sigma``.
+    """
+    if not sys.is_continuous:
+        raise ValueError("continuous data needs a continuous system")
+    if horizon is not None and not 0 < float(horizon) < np.inf:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    sigma = sys.sigma
+    tiny = 1e-12 * sigma
+    psi = _continuous_ppoly(history, HistorySpec, "history", sys.dim)
+    if psi.start > -sigma + tiny or psi.end < -tiny:
+        raise DataMismatch(
+            "history", f"domain [{psi.start}, {psi.end}] does not cover [-{sigma}, 0]"
+        )
+    if forcing is None:
+        return psi, None
+    g = _continuous_ppoly(forcing, ForcingSpec, "forcing", sys.dim)
+    end = g.end if horizon is None or g.right_extension else float(horizon)
+    if g.start > tiny or g.end < end - tiny:
+        raise DataMismatch(
+            "forcing", f"domain [{g.start}, {g.end}] does not cover [0, {end}]"
+        )
+    return psi, g
+
+
+def discrete_data(sys, history, forcing, n_steps=None):
+    """The data of a discrete problem as matrix stacks ``(hist, g)``:
+    ``hist`` holds ``u = -m .. 0`` and ``g`` holds ``u = 0 .. n_steps - 1``
+    (zeros when there is no forcing).
+
+    ``history`` is a discrete :class:`HistorySpec` or an ``(m + 1, d, d)``
+    array; ``forcing`` is ``None``, a discrete :class:`ForcingSpec` or an
+    array of at least ``n_steps`` matrices.  Without ``n_steps`` a forcing
+    table is taken at its own length, and a callable forcing, which has
+    none, is refused.
+    """
+    if sys.is_continuous:
+        raise ValueError("discrete data needs a discrete system")
+    if n_steps is not None:
+        n_steps = int(n_steps)
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    m, d = sys.m, sys.dim
+    _check_kind(history, HistorySpec, "history", "discrete")
+    if isinstance(history, HistorySpec):
+        history = history.values
+    hist = np.asarray(history, dtype=float)
+    if hist.shape != (m + 1, d, d):
+        raise DataMismatch(
+            "history", f"must have shape ({m + 1}, {d}, {d}), got {hist.shape}"
+        )
+    _check_kind(forcing, ForcingSpec, "forcing", "discrete")
+    if forcing is None:
+        return hist, np.zeros((n_steps or 0, d, d))
+    if isinstance(forcing, ForcingSpec):
+        if n_steps is not None:
+            forcing = forcing.table(n_steps, d)
+        elif forcing.values is None:
+            raise ValueError("a callable forcing needs a step count to bound it")
+        else:
+            forcing = forcing.values
+    g = np.asarray(forcing, dtype=float)[:n_steps]
+    want = (g.shape[0] if n_steps is None else n_steps, d, d)
+    if g.shape != want:
+        raise DataMismatch(
+            "forcing", f"must have shape {want} for u = 0 .. {want[0] - 1}, "
+            f"got {g.shape}"
+        )
+    return hist, g

@@ -424,6 +424,62 @@ class TestVerifyCommand:
         assert "--random" in err
 
 
+class TestDataThatDoesNotFit:
+    """Data files that load but do not fit the system or the horizon."""
+
+    @pytest.fixture
+    def scalar_files(self, tmp_path):
+        """d=1, A0=0.5, A1=0.2, sigma=1, history 1 on [-1, 0]."""
+        paths = {}
+        for name, node in {
+            "sys": {"d": 1, "A0": [[0.5]], "A1": [[0.2]],
+                    "kind": "continuous", "delay": 1.0},
+            "hist": {"kind": "ppoly", "breakpoints": [-1.0, 0.0],
+                     "pieces": [[[[1]]]]},
+            "short_hist": {"kind": "ppoly", "breakpoints": [-0.5, 0.0],
+                           "pieces": [[[[1]]]]},
+            "extended": {"kind": "ppoly", "breakpoints": [0.0, 1.0],
+                         "pieces": [[[[1]]]], "right_extension": True},
+            "short": {"kind": "ppoly", "breakpoints": [0.0, 1.0],
+                      "pieces": [[[[1]]]]},
+        }.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(node))
+        return {name: str(path) for name, path in paths.items()}
+
+    def test_verify_takes_a_right_extended_forcing(self, capsys, scalar_files):
+        f = scalar_files
+        code, out, _ = run_cli(
+            capsys, "verify", "--system", f["sys"], "--history", f["hist"],
+            "--forcing", f["extended"], "--to", "3",
+        )
+        assert code == 0
+        assert "-> OK" in out
+
+    def test_solve_refuses_a_short_history(self, capsys, scalar_files):
+        f = scalar_files
+        code, _, err = run_cli(
+            capsys, "solve", "--system", f["sys"], "--history", f["short_hist"],
+            "--to", "1", "--step", "0.5",
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: {f['short_hist']}: history domain [-0.5, 0.0] does not "
+            f"cover [-1.0, 0]"
+        ]
+
+    def test_verify_refuses_a_short_forcing(self, capsys, scalar_files):
+        f = scalar_files
+        code, _, err = run_cli(
+            capsys, "verify", "--system", f["sys"], "--history", f["hist"],
+            "--forcing", f["short"], "--to", "3",
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: {f['short']}: forcing domain [0.0, 1.0] does not cover [0, 3.0]"
+        ]
+
+
 class TestVerifyRelativeGate:
     """`verify` gates each window on its gap relative to max(|oracle|, 1)."""
 

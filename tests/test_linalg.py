@@ -14,7 +14,6 @@ from delaymat.linalg import (
     binomial,
     commutes,
     max_abs,
-    sylvester_apply,
 )
 
 
@@ -65,21 +64,8 @@ class TestBinomial:
 
 
 class TestSylvesterApply:
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(7)
-        for d in (1, 2, 3, 5):
-            a0 = rng.standard_normal((d, d))
-            a1 = rng.standard_normal((d, d))
-            m = rng.standard_normal((d, d))
-            np.testing.assert_allclose(
-                sylvester_apply(a0, a1, m), a0 @ m + m @ a1, rtol=0, atol=0
-            )
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            sylvester_apply(np.eye(2), np.eye(3), np.eye(2))
-        with pytest.raises(DimensionMismatch):
-            sylvester_apply(np.eye(2), np.eye(2), np.eye(3))
+    """The operator ``M -> A0 M + M A1`` whose iterates ``build_q_table``
+    builds."""
 
     def test_left_and_right_multiplications_commute_as_operators(self):
         # applying "left by a0" then "right by a1" equals the reverse order

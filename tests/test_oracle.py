@@ -164,6 +164,25 @@ class TestContinuousIntegrator:
         diff = closed_form_gap(table, exact, sys.sigma)
         assert diff <= 1e-10, f"|closed form - integrator| = {diff:.3e} rel"
 
+    def test_right_extended_forcing_may_end_before_the_horizon(self):
+        # the last forcing piece extends to the right, so the forcing
+        # need not reach the horizon: the oracle takes it as the solver does
+        rng = np.random.default_rng(912)
+        sys = random_system(rng, 2, "continuous", entry_scale=0.5)
+        hist = random_scalar_history(rng, sys)
+        eye = np.eye(2)
+        force = ForcingSpec.from_ppoly(
+            PiecewiseMatrixPolynomial(
+                [0.0, 1.0],
+                [MatrixPolynomial(np.stack([eye, -0.5 * eye]))],
+                right_extension=True,
+            )
+        )
+        exact = solve_continuous(sys, hist, force, 3.0)
+        table = integrate_continuous(sys, hist, force, 3.0)
+        diff = closed_form_gap(table, exact, sys.sigma)
+        assert diff <= 1e-10, f"|closed form - integrator| = {diff:.3e} rel"
+
     def test_domain_and_kind_validation(
         self, ex1_system, ex2_system, ex1_history, ex1_forcing
     ):
@@ -463,8 +482,8 @@ class TestExactAgainstFraction:
 
 class TestOracleIndependence:
     def test_imports_nothing_from_the_closed_form(self):
-        # the oracle may read the data's ppoly fields and nothing else of
-        # the package's closed-form machinery
+        # the oracle takes its data through delaymat.system, as the
+        # solvers do, and nothing of the closed-form machinery
         tree = ast.parse(Path(oracle.__file__).read_text())
         banned = {"qseq", "fundamental", "solve", "linalg", "ppoly"}
         found = []
@@ -478,7 +497,8 @@ class TestOracleIndependence:
                         found.append((module, alias.name))
             elif isinstance(node, ast.Import):
                 found += [(a.name.rpartition(".")[2], None) for a in node.names]
-        assert ("ppoly", "PiecewiseMatrixPolynomial") in found
+        assert ("system", "continuous_data") in found
+        assert ("system", "discrete_data") in found
         for module, name in found:
             if (module, name) != ("ppoly", "PiecewiseMatrixPolynomial"):
                 assert module not in banned and module != "delaymat", (module, name)

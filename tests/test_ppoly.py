@@ -331,22 +331,6 @@ class TestReparametrizations:
 
 
 class TestAlgebra:
-    def test_scale(self):
-        rng = np.random.default_rng(12)
-        p = random_ppoly(rng, 2, 0.0, 2.0, 2, 2)
-        ts = np.linspace(-0.5, 2.5, 29)
-        np.testing.assert_allclose(
-            p.scale(-2.5).eval(ts), -2.5 * p.eval(ts), atol=1e-13
-        )
-
-    def test_lmul_rmul(self):
-        rng = np.random.default_rng(14)
-        p = random_ppoly(rng, 2, 0.0, 1.0, 2, 2)
-        m = rng.uniform(-1.0, 1.0, size=(2, 2))
-        ts = np.linspace(-0.3, 1.3, 19)
-        np.testing.assert_allclose(p.lmul(m).eval(ts), m @ p.eval(ts), atol=1e-14)
-        np.testing.assert_allclose(p.rmul(m).eval(ts), p.eval(ts) @ m, atol=1e-14)
-
     def test_knot_jumps(self):
         cont = PiecewiseMatrixPolynomial.from_global(
             [0.0, 1.0, 2.0],

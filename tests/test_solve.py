@@ -20,9 +20,7 @@ from delaymat import (
     build_fundamental_continuous,
     fixtures,
     solve_continuous,
-    solve_continuous_homogeneous,
     solve_discrete,
-    solve_discrete_homogeneous,
     validate_hypotheses,
 )
 from delaymat.errors import DegreeCapExceeded
@@ -122,6 +120,40 @@ class TestHypothesisCheck:
         )
         assert x.dim == 2
 
+    def test_history_is_checked_on_the_delay_window_only(self, ex1_system):
+        # C^1 history on [-2, 0]: below -sigma = -1 it is I + N (t + 1)^2
+        # with N not commuting with A1, on [-1, 0] it is I
+        eye = np.eye(2)
+        nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+        hist = HistorySpec.from_ppoly(
+            PiecewiseMatrixPolynomial(
+                [-2.0, -1.0, 0.0],
+                [
+                    MatrixPolynomial(np.stack([eye + nil, -2.0 * nil, nil])),
+                    MatrixPolynomial.constant(eye),
+                ],
+            )
+        )
+        report = validate_hypotheses(ex1_system, hist)
+        assert report.ok
+        assert report.history_residual == 0.0
+
+    def test_noncommuting_quadratic_coefficient_is_flagged(
+        self, ex1_system, ex1_history
+    ):
+        # G(t) = I + t I + t^2 N: only the t^2 coefficient fails to commute
+        eye = np.eye(2)
+        nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+        bad = ForcingSpec.from_ppoly(
+            PiecewiseMatrixPolynomial(
+                [0.0, 3.0], [MatrixPolynomial(np.stack([eye, eye, nil]))]
+            )
+        )
+        report = validate_hypotheses(ex1_system, ex1_history, bad)
+        assert not report.ok
+        assert report.history_residual == 0.0
+        assert report.forcing_residual == 1.0
+
     def test_callable_forcing_needs_a_step_bound(self, ex2_system, ex2_history):
         g = ForcingSpec.from_callable(lambda u: np.eye(2))
         with pytest.raises(ValueError):
@@ -206,12 +238,6 @@ class TestContinuousStructure:
         resid = max_abs(rate.eval(ts)[mask] - rhs[mask])
         assert resid <= 1e-8 * max(1.0, max_abs(rhs[mask]))
 
-    def test_homogeneous_wrapper(self, ex1_system, ex1_history):
-        a = solve_continuous(ex1_system, ex1_history, None, 2.0)
-        b = solve_continuous_homogeneous(ex1_system, ex1_history, 2.0)
-        ts = np.linspace(-1.0, 1.999, 44)
-        assert max_abs(a.eval(ts) - b.eval(ts)) == 0.0
-
     def test_domain_validation(self, ex1_system, ex1_history, ex1_forcing):
         short_hist = HistorySpec.from_ppoly(
             PiecewiseMatrixPolynomial(
@@ -278,11 +304,6 @@ class TestDiscreteStructure:
         np.testing.assert_array_equal(
             full.values, hist_only.values + force_only.values
         )
-
-    def test_homogeneous_wrapper(self, ex2_system, ex2_history):
-        a = solve_discrete(ex2_system, ex2_history, None, 5)
-        b = solve_discrete_homogeneous(ex2_system, ex2_history, 5)
-        np.testing.assert_array_equal(a.values, b.values)
 
     def test_zero_steps_returns_the_history_rows(self, ex2_system, ex2_history):
         x = solve_discrete(ex2_system, ex2_history, None, 0)
