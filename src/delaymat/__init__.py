@@ -23,6 +23,7 @@ from .errors import (
     DelayMatError,
     DimensionMismatch,
     HypothesisViolation,
+    NonFiniteOutput,
     SchemaError,
     UnsupportedHypothesisWarning,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "CommutationError",
     "HypothesisViolation",
     "DataMismatch",
+    "NonFiniteOutput",
     "SchemaError",
     "UnsupportedHypothesisWarning",
     # linear algebra helpers

@@ -269,12 +269,20 @@ def _emit_table(args, table, json_extra, outputs):
         dump_json(node, sys.stdout)
 
 
+def _utf8(value):
+    """A command-line string as valid UTF-8 for JSON: bytes that do not
+    decode (kept by Python as lone surrogates) are spelled ``\\xNN``."""
+    if isinstance(value, str):
+        return os.fsencode(value).decode("utf-8", "backslashreplace")
+    return value
+
+
 def _write_manifest(args, outputs, extra):
     """Echo the effective configuration next to the first output file."""
     if not outputs:
         return
     options = {
-        key: value
+        key: _utf8(value)
         for key, value in sorted(vars(args).items())
         if key != "command"
     }
@@ -283,7 +291,7 @@ def _write_manifest(args, outputs, extra):
         "version": __version__,
         "command": args.command,
         "options": options,
-        "outputs": [str(Path(p)) for p in outputs],
+        "outputs": [_utf8(str(Path(p))) for p in outputs],
     }
     manifest.update(extra)
     write_json(manifest, Path(outputs[0]).resolve().parent / "run-manifest.json")

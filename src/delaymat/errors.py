@@ -36,6 +36,11 @@ class DataMismatch(DelayMatError, ValueError):
         super().__init__(f"{role} {message}")
 
 
+class NonFiniteOutput(DelayMatError, ValueError):
+    """A writer met NaN or ±inf, which JSON cannot hold; the message
+    names the key or row."""
+
+
 class SchemaError(DelayMatError):
     """An input file does not match the documented schema.
 

@@ -9,22 +9,26 @@ command-line front end can print one anchored message and exit 2.
 Readers accept any JSON layout. Files delaymat writes put each
 top-level key on its own line, and a value that is a stack of matrices
 (a trajectory's ``values``, a q table's ``mats``, a ppoly's ``pieces``)
-one element per line; every line comes from the C encoder of
-:mod:`json`, and a numpy stack is turned into Python floats one element
-at a time. Numbers are written with :func:`repr`, which in Python
-produces the shortest string that parses back to the identical float;
-trajectory files therefore round-trip bit-identically (integer-valued
-data reads back as exact integers).
+one element per line. Every JSON line and every CSV row comes from
+:func:`orjson.dumps`, which takes numpy arrays as they are and writes
+each float as the shortest decimal that parses back to the identical
+float (Ryū), with compact separators; trajectory files therefore
+round-trip bit-identically (integer-valued data reads back as exact
+integers). JSON has no NaN or Infinity, so the writers refuse
+non-finite numbers with :class:`~delaymat.errors.NonFiniteOutput`, a
+:class:`ValueError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+import orjson
 
-from .errors import SchemaError
+from .errors import NonFiniteOutput, SchemaError
 from .ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
 from .system import DelaySystem, ForcingSpec, HistorySpec, TrajectoryTable
 
@@ -65,8 +69,26 @@ def load_json(path):
         ) from exc
 
 
-#: ``json.JSONEncoder.encode`` runs the C encoder only without ``indent``.
-_encode = json.JSONEncoder().encode
+def _all_finite(value):
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind != "f" or bool(np.isfinite(value).all())
+    if isinstance(value, (list, tuple)):
+        return all(map(_all_finite, value))
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    return True
+
+
+def _encode(value, where):
+    """``value`` (numpy arrays C-contiguous) as compact JSON text.
+    orjson writes NaN and ±inf as ``null``, so a ``null`` that does not
+    come from ``None`` is refused, naming ``where``."""
+    text = orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"null" in text and not _all_finite(value):
+        raise NonFiniteOutput(f"{where}: cannot write a non-finite number")
+    return text.decode()
 
 
 def _is_stack(value):
@@ -83,26 +105,28 @@ def _is_stack(value):
     )
 
 
-def _encode_value(value):
-    return _encode(value.tolist() if isinstance(value, np.ndarray) else value)
-
-
 def dump_json(node, fh):
     """Write the JSON object ``node`` to the open text file ``fh``: one
-    top-level key per line, and a stack of matrices one element per line
-    (see the module docstring)."""
+    top-level key per line, and a stack of matrices one element per line,
+    each line one call of :func:`orjson.dumps` (see the module
+    docstring).  A non-finite number raises
+    :class:`~delaymat.errors.NonFiniteOutput` naming its key (and stack
+    element); the lines before it are already written."""
     fh.write("{\n")
     last = len(node) - 1
     for n, (key, value) in enumerate(node.items()):
         end = ",\n" if n < last else "\n"
-        head = f"  {_encode(key)}: "
+        head = f"  {_encode(key, key)}: "
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value)
         if not _is_stack(value):
-            fh.write(head + _encode_value(value) + end)
+            fh.write(head + _encode(value, repr(key)) + end)
             continue
         fh.write(head + "[\n")
         tail = len(value) - 1
         for k, elem in enumerate(value):
-            fh.write(f"    {_encode_value(elem)}{',' if k < tail else ''}\n")
+            text = _encode(elem, f"{key!r}[{k}]")
+            fh.write(f"    {text}{',' if k < tail else ''}\n")
         fh.write("  ]" + end)
     fh.write("}\n")
 
@@ -110,7 +134,7 @@ def dump_json(node, fh):
 def write_json(node, path):
     """Write the JSON object ``node`` to the file ``path`` (see
     :func:`dump_json`)."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         dump_json(node, fh)
 
 
@@ -369,13 +393,17 @@ def trajectory_from_node(doc, path="<node>"):
 
 def write_trajectory_csv(table, fh):
     """Write ``t, x11, x12, ..., xdd`` rows (row-major entries) to an
-    open text file; floats use shortest round-trip formatting."""
+    open text file.  Each row is one :func:`orjson.dumps` call with the
+    brackets stripped, so floats are the shortest round-trip decimals; a
+    row with a non-finite number raises
+    :class:`~delaymat.errors.NonFiniteOutput` naming the row (the rows
+    before it are already written)."""
     d = table.dim
     header = ["t"] + [f"x{i + 1}{j + 1}" for i in range(d) for j in range(d)]
     fh.write(",".join(header) + "\n")
-    for t, mat in zip(table.times, table.values):
-        row = [repr(float(t))] + [repr(float(v)) for v in mat.ravel()]
-        fh.write(",".join(row) + "\n")
+    rows = np.column_stack((table.times, table.values.reshape(-1, d * d)))
+    for k, row in enumerate(rows):
+        fh.write(_encode(row, f"row {k}")[1:-1] + "\n")
 
 
 def read_trajectory_csv(path, kind=None):

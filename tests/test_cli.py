@@ -374,6 +374,21 @@ class TestOutputsAndManifest:
         assert manifest["hypothesis_ok"] is True
         assert "version" in manifest
 
+    def test_manifest_spells_undecodable_path_bytes(self, capsys, tmp_path, ex1_files):
+        """A file name byte that is not UTF-8 reaches Python as a lone
+        surrogate, which JSON text cannot hold."""
+        sys_path, hist_path, force_path = ex1_files
+        out_path = tmp_path / "x\udcff.csv"
+        code, _, _ = run_cli(
+            capsys, "solve", "--system", sys_path, "--history", hist_path,
+            "--forcing", force_path, "--to", "1", "--step", "0.5",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "run-manifest.json").read_text())
+        assert manifest["options"]["out"] == str(tmp_path / "x\\xff.csv")
+        assert manifest["outputs"] == [str(tmp_path / "x\\xff.csv")]
+
     def test_no_manifest_without_an_output_file(self, capsys, tmp_path, ex1_files, monkeypatch):
         monkeypatch.chdir(tmp_path)
         sys_path, hist_path, force_path = ex1_files
@@ -382,6 +397,25 @@ class TestOutputsAndManifest:
             "--forcing", force_path, "--to", "1", "--step", "0.5",
         )
         assert code == 0
+        assert not (tmp_path / "run-manifest.json").exists()
+
+    @pytest.mark.parametrize("fmt, where", [("json", "'values'[4]"), ("csv", "row 4")])
+    def test_overflowing_solution_is_a_clean_error(self, capsys, tmp_path, fmt, where):
+        """X(1) = 2e308 overflows to inf, which no output format may hold."""
+        sys_path, hist_path = tmp_path / "sys.json", tmp_path / "hist.json"
+        sys_path.write_text(json.dumps(
+            {"d": 1, "A0": [[1.0]], "A1": [[0.0]], "kind": "continuous", "delay": 1.0}
+        ))
+        hist_path.write_text(json.dumps(
+            {"kind": "ppoly", "breakpoints": [-1.0, 0.0], "pieces": [[[[1e308]]]]}
+        ))
+        code, _, err = run_cli(
+            capsys, "solve", "--system", str(sys_path), "--history", str(hist_path),
+            "--to", "1", "--step", "0.5", "--format", fmt,
+            "--out", str(tmp_path / f"x.{fmt}"),
+        )
+        assert code == 1
+        assert err == f"error: {where}: cannot write a non-finite number\n"
         assert not (tmp_path / "run-manifest.json").exists()
 
 

@@ -1,7 +1,8 @@
 """Piecewise-polynomial payloads: the local coefficient basis on disk,
 files in the global basis, and the generators and fixtures that convert
 global draws the same way; the JSON writer's layout and exact round
-trip; and the anchored errors of the matrix-stack reader."""
+trip; the writers' refusal of non-finite numbers; and the anchored
+errors of the matrix-stack reader."""
 
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from delaymat.serialize import (
     trajectory_from_node,
     trajectory_to_node,
     write_json,
+    write_trajectory_csv,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -195,8 +197,38 @@ class TestJsonWriter:
         buf = io.StringIO()
         dump_json({"mats": [], "eye": np.eye(2), "flag": False}, buf)
         assert buf.getvalue() == (
-            '{\n  "mats": [],\n  "eye": [[1.0, 0.0], [0.0, 1.0]],\n'
+            '{\n  "mats": [],\n  "eye": [[1.0,0.0],[0.0,1.0]],\n'
             '  "flag": false\n}\n'
+        )
+
+
+class TestNonFiniteRefused:
+    """JSON has no NaN or Infinity (orjson would write ``null``), so every
+    writer refuses them, naming the key or row."""
+
+    def test_json_array(self, tmp_path):
+        values = np.zeros((3, 2, 2))
+        values[1, 0, 1] = np.nan
+        table = TrajectoryTable(kind="discrete", times=np.arange(3.0), values=values)
+        with pytest.raises(ValueError, match=r"^'values'\[1\]: cannot write a non-"):
+            write_json(trajectory_to_node(table), tmp_path / "x.json")
+
+    def test_json_scalar(self):
+        with pytest.raises(ValueError, match=r"^'tol': cannot write a non-finite"):
+            dump_json({"out": None, "tol": math.inf}, io.StringIO())
+
+    def test_csv_row(self):
+        values = np.zeros((3, 2, 2))
+        values[2, 1, 1] = -np.inf
+        table = TrajectoryTable(kind="discrete", times=np.arange(3.0), values=values)
+        with pytest.raises(ValueError, match=r"^row 2: cannot write a non-finite"):
+            write_trajectory_csv(table, io.StringIO())
+
+    def test_none_is_still_null(self):
+        buf = io.StringIO()
+        dump_json({"out": None, "opts": {"to": 1.5, "forcing": None}}, buf)
+        assert buf.getvalue() == (
+            '{\n  "out": null,\n  "opts": {"to":1.5,"forcing":null}\n}\n'
         )
 
 
