@@ -7,33 +7,25 @@ pure delay,
     discrete:    ΔX(u)  = A0 X(u - m)     + X(u - m)     A1 + G(u),
 
 for square coefficient matrices that need **not** commute with each
-other.  The fundamental solution is built exactly — piecewise
-polynomial in time for the continuous family, integer combinations of a
-coefficient table for the discrete one — and initial value problems are
-assembled from it by an exact variation-of-constants formula (valid
-when the data commutes with ``A1``; see
-:func:`~delaymat.solve.validate_hypotheses`).  Independent brute-force
-integrators (:mod:`delaymat.oracle`) cross-check every closed form.
+other, and any history and forcing.  Every solution, the fundamental
+solutions included, is one exact repeated sum ``sum_r Theta_r`` of
+delayed terms, ``Theta_{r+1}`` the running integral (continuous) or
+cumulative sum (discrete) of ``A0 Theta_r + Theta_r A1`` (see
+:mod:`delaymat.solve`): piecewise polynomial in time for the continuous
+family, one matrix per index for the discrete one.  Independent
+brute-force integrators (:mod:`delaymat.oracle`) cross-check every
+closed form.
 """
 
 from .errors import (
-    CommutationError,
     DataMismatch,
     DegreeCapExceeded,
     DelayMatError,
     DimensionMismatch,
-    HypothesisViolation,
     NonFiniteOutput,
     SchemaError,
-    UnsupportedHypothesisWarning,
 )
-from .fundamental import (
-    DiscreteFundamental,
-    build_fundamental_continuous,
-    fundamental_commutative_continuous,
-    fundamental_commutative_discrete,
-)
-from .linalg import binomial, commutes
+from .fundamental import DiscreteFundamental, build_fundamental_continuous
 from .oracle import IntegratorConfig, integrate_continuous, step_discrete
 from .ppoly import (
     MAX_DEGREE,
@@ -41,7 +33,7 @@ from .ppoly import (
     PiecewiseMatrixPolynomial,
     convolve_kernel,
 )
-from .qseq import QTable, build_q_table, q_commutative_closed_form
+from .qseq import QTable, build_q_table
 from .solve import (
     HypothesisReport,
     solve_continuous,
@@ -54,19 +46,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors and warnings
+    # errors
     "DelayMatError",
     "DimensionMismatch",
     "DegreeCapExceeded",
-    "CommutationError",
-    "HypothesisViolation",
     "DataMismatch",
     "NonFiniteOutput",
     "SchemaError",
-    "UnsupportedHypothesisWarning",
-    # linear algebra helpers
-    "binomial",
-    "commutes",
     # piecewise polynomials
     "MAX_DEGREE",
     "MatrixPolynomial",
@@ -75,12 +61,9 @@ __all__ = [
     # coefficient table
     "QTable",
     "build_q_table",
-    "q_commutative_closed_form",
     # fundamental solutions
     "DiscreteFundamental",
     "build_fundamental_continuous",
-    "fundamental_commutative_continuous",
-    "fundamental_commutative_discrete",
     # problem data
     "DelaySystem",
     "HistorySpec",

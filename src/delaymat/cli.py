@@ -7,16 +7,17 @@ Subcommands::
         [--dump-q PATH] [--dump-z PATH]
     delaymat solve --system sys.json --history hist.json \
         [--forcing g.json] --to T|N [--step DT] [--format csv|json] \
-        [--out PATH] [--allow-noncommuting-data] [--dump-q] [--dump-z]
+        [--out PATH] [--dump-q] [--dump-z]
     delaymat verify [--system ... --history ... [--forcing ...] | \
         --random [--kind {cont,disc}] [--d D]] [--to T|N] [--seed S] \
-        [--substeps N] [--tol X] [--allow-noncommuting-data]
+        [--substeps N] [--tol X]
     delaymat example {1,2}
 
-Exit codes: 0 success; 1 tolerance or hypothesis failure; 2 schema
-violation, or data that does not fit the system or the horizon (with a
-file-, line- or pointer-anchored message on stderr).  When an
-output path is given, the effective configuration is echoed into a
+Exit codes: 0 success; 1 a failed tolerance, or a solution that leaves
+the float range or the degree cap; 2 schema violation, or data that
+does not fit the system or the horizon (with a file-, line- or
+pointer-anchored message on stderr).  When the first output is a
+regular file, the effective configuration is echoed into a
 ``run-manifest.json`` next to it.  The environment variable
 ``DELAYMAT_LOG`` in {error, info, debug} controls log verbosity.
 """
@@ -36,12 +37,7 @@ from . import __version__
 from .errors import DataMismatch, DelayMatError, SchemaError
 from .fixtures import run_example
 from .fundamental import DiscreteFundamental, build_fundamental_continuous
-from .generators import (
-    random_discrete_scalar_data,
-    random_scalar_forcing,
-    random_scalar_history,
-    random_system,
-)
+from .generators import random_matrix_data, random_system
 from .oracle import IntegratorConfig, integrate_continuous, step_discrete
 from .qseq import build_q_table
 from .serialize import (
@@ -56,12 +52,7 @@ from .serialize import (
     write_json,
     write_trajectory_csv,
 )
-from .solve import (
-    HYPOTHESIS_TOL,
-    solve_continuous,
-    solve_discrete,
-    validate_hypotheses,
-)
+from .solve import solve_continuous, solve_discrete, validate_hypotheses
 from .system import TrajectoryTable
 
 __all__ = ["build_parser", "main"]
@@ -132,15 +123,6 @@ def build_parser():
         "--step", type=float, default=None, metavar="DT",
         help="output sampling step (continuous only)",
     )
-    solve.add_argument(
-        "--hypothesis-tol", type=float, default=HYPOTHESIS_TOL, metavar="X",
-        help="relative tolerance of the data commutation check",
-    )
-    solve.add_argument(
-        "--allow-noncommuting-data", action="store_true",
-        help="evaluate the formula even if the commutation check fails "
-        "(the run manifest and JSON output are tagged)",
-    )
     _add_output_flags(solve)
     _add_dump_flags(solve)
 
@@ -154,8 +136,8 @@ def build_parser():
     verify.add_argument("--forcing", default=None, metavar="FILE")
     verify.add_argument(
         "--random", action="store_true",
-        help="generate a seeded random system with commuting data instead "
-        "of reading files",
+        help="generate a seeded random system with general matrix data "
+        "instead of reading files",
     )
     verify.add_argument(
         "--kind", choices=("cont", "disc"), default="cont",
@@ -179,7 +161,6 @@ def build_parser():
         help="failure threshold on each window's gap relative to "
         "max(|oracle|, 1) (default 1e-10 continuous, 1e-9 discrete)",
     )
-    verify.add_argument("--allow-noncommuting-data", action="store_true")
 
     example = sub.add_parser(
         "example", help="run a bundled worked example and print its report"
@@ -279,8 +260,9 @@ def _utf8(value):
 
 
 def _write_manifest(args, outputs, extra):
-    """Echo the effective configuration next to the first output file."""
-    if not outputs:
+    """Echo the effective configuration next to the first output, when
+    that is a regular file (not, say, ``/dev/stdout``)."""
+    if not outputs or not Path(outputs[0]).is_file():
         return
     options = {
         key: _utf8(value)
@@ -352,17 +334,13 @@ def _cmd_solve(args):
     history = load_history(args.history, sys_)
     forcing = load_forcing(args.forcing, sys_) if args.forcing else None
     outputs = []
-    report = validate_hypotheses(sys_, history, forcing, tol=args.hypothesis_tol)
+    report = validate_hypotheses(sys_, history, forcing)
     if sys_.is_continuous:
         if args.stop <= 0:
             _flag_error("--to must be positive", "--to")
         if args.step is None or args.step <= 0:
             _flag_error("continuous output sampling needs --step > 0", "--step")
-        x = solve_continuous(
-            sys_, history, forcing, args.stop,
-            allow_noncommuting_data=args.allow_noncommuting_data,
-            hypothesis_tol=args.hypothesis_tol,
-        )
+        x = solve_continuous(sys_, history, forcing, args.stop)
         times = _sample_times(-sys_.sigma, args.stop, args.step)
         table = TrajectoryTable(
             kind="continuous", times=times, values=x.eval(times)
@@ -378,29 +356,15 @@ def _cmd_solve(args):
         n_steps = _as_index(args.stop, "--to")
         if n_steps < 0:
             _flag_error("--to must be >= 0", "--to")
-        table = solve_discrete(
-            sys_, history, forcing, n_steps,
-            allow_noncommuting_data=args.allow_noncommuting_data,
-            hypothesis_tol=args.hypothesis_tol,
-        )
+        table = solve_discrete(sys_, history, forcing, n_steps)
         us = np.arange(-(sys_.m + 1), n_steps + 1)
         _write_dumps(
             args, sys_, n_steps,
             lambda: trajectory_to_node(_discrete_z_table(sys_, us)),
             outputs,
         )
-    tagged = bool(args.allow_noncommuting_data and not report.ok)
-    extra = {
-        "hypothesis_check": report.summary(),
-        "hypothesis_ok": report.ok,
-        "forced_past_hypothesis": tagged,
-    }
-    if tagged:
-        print(
-            "note: commutation hypothesis violated; output is a formal "
-            "evaluation of the representation formula",
-            file=sys.stderr,
-        )
+    # informational: whether the paper's q-form applies term by term
+    extra = {"hypothesis_check": report.summary(), "hypothesis_ok": report.ok}
     _emit_table(args, table, extra, outputs)
     _write_manifest(args, outputs, extra)
     return 0
@@ -413,14 +377,12 @@ def _verify_inputs(args, rng):
         sys_ = random_system(rng, args.d, kind, entry_scale=1.0 / args.d)
         if sys_.is_continuous:
             horizon = 5.0 * sys_.sigma if args.stop is None else float(args.stop)
-            history = random_scalar_history(rng, sys_)
-            forcing = random_scalar_forcing(rng, sys_, horizon)
         else:
             horizon = (
                 5 * (sys_.m + 1) if args.stop is None
                 else _as_index(args.stop, "--to")
             )
-            history, forcing = random_discrete_scalar_data(rng, sys_, int(horizon))
+        history, forcing = random_matrix_data(rng, sys_, horizon)
         return sys_, history, forcing, horizon
     if not (args.system and args.history):
         _flag_error("verify needs --system and --history, or --random", "--system")
@@ -443,10 +405,7 @@ def _cmd_verify(args):
         if horizon <= 0:
             _flag_error("--to must be positive", "--to")
         tol = 1e-10 if args.tol is None else args.tol
-        x = solve_continuous(
-            sys_, history, forcing, horizon,
-            allow_noncommuting_data=args.allow_noncommuting_data,
-        )
+        x = solve_continuous(sys_, history, forcing, horizon)
         oracle = integrate_continuous(
             sys_, history, forcing, horizon,
             IntegratorConfig(substeps_per_delay=args.substeps),
@@ -470,10 +429,7 @@ def _cmd_verify(args):
         if n_steps <= 0:
             _flag_error("--to must be positive", "--to")
         tol = 1e-9 if args.tol is None else args.tol
-        x = solve_discrete(
-            sys_, history, forcing, n_steps,
-            allow_noncommuting_data=args.allow_noncommuting_data,
-        )
+        x = solve_discrete(sys_, history, forcing, n_steps)
         oracle = step_discrete(sys_, history, forcing, n_steps)
         closed = x.values
         m = sys_.m

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class DelayMatError(Exception):
@@ -11,17 +11,6 @@ class DimensionMismatch(DelayMatError):
 
 class DegreeCapExceeded(DelayMatError):
     """A piecewise polynomial would exceed the supported maximum degree."""
-
-
-class CommutationError(DelayMatError):
-    """A closed form that requires commuting coefficients got a
-    noncommuting pair."""
-
-
-class HypothesisViolation(DelayMatError):
-    """History or forcing data does not commute with the right
-    coefficient matrix, so the representation formula is not known to
-    apply."""
 
 
 class DataMismatch(DelayMatError, ValueError):
@@ -52,9 +41,3 @@ class SchemaError(DelayMatError):
     def __init__(self, message, location=None):
         self.location = location
         super().__init__(f"{location}: {message}" if location else message)
-
-
-class UnsupportedHypothesisWarning(UserWarning):
-    """Emitted when a solve is forced past a failed commutation check;
-    the result is a formal evaluation of the representation formula and
-    need not solve the equation."""

@@ -7,14 +7,16 @@ is the polynomial
 
     Z(t) = sum_{r=0}^{u} q[r] (t - (r - 1) sigma)**r / r!
 
-with ``q`` from :func:`~delaymat.qseq.build_q_table` — a delayed matrix
-exponential whose coefficients are the operator iterates instead of the
-powers of a single matrix (those coincide only when ``A0`` and ``A1``
-commute, or when one of them vanishes).  :func:`build_fundamental_continuous`
-obtains it from the repeated-integration routine
-:func:`~delaymat.ppoly.convolve_kernel` with ``Phi_0 = I`` from ``-sigma``
-on, which stores window ``u`` in its local variable ``tau = t - (u-1)
-sigma`` as ``sum_r q[r] (tau + (u - r) sigma)**r / r!``.
+with ``q[r] = L^r(I)`` the iterates of ``L(M) = A0 M + M A1``
+(:func:`~delaymat.qseq.build_q_table`) — a delayed matrix exponential
+whose coefficients are the operator iterates instead of the powers of a
+single matrix (those coincide only when ``A0`` and ``A1`` commute, or
+when one of them vanishes).  :func:`build_fundamental_continuous` is the
+case ``Theta_0 = I`` of the solver's repeated sum
+:func:`~delaymat.ppoly.convolve_kernel`: there ``Theta_r`` is ``q[r]``
+times the ``r``-fold integral of 1, so window ``u`` is stored in its
+local variable ``tau = t - (u-1) sigma`` as ``sum_r q[r] (tau + (u - r)
+sigma)**r / r!``.
 
 The discrete fundamental solution solves ``ΔZ(u) = A0 Z(u - m) +
 Z(u - m) A1`` with ``Z = 0`` for ``u <= -m - 1`` and ``Z = I`` for
@@ -22,14 +24,10 @@ Z(u - m) A1`` with ``Z = 0`` for ``u <= -m - 1`` and ``Z = I`` for
 
     Z(u) = sum_{r=0}^{n} C(u - (r - 1) m, r) q[r],   n = ceil(u / (m+1)).
 
-The binomial is a repeated sum: with ``Phi_0 = I`` from ``-m`` on and
-``Phi_{r+1}`` the cumulative sum of ``Phi_r``, ``Phi_r(v) = C(v + m + r,
-r)``.  :func:`discrete_kernel` evaluates ``sum_r q[r] Phi_r(u - r (m+1))``
-for ``Phi_0 = I`` (:meth:`DiscreteFundamental.table`) and for the data.
-
-Commutative-case evaluators (`fundamental_commutative_*`) compute the
-same windows from powers of ``A0`` and ``A1`` alone; they require a
-commuting pair and exist as independently-derived cross-checks.
+The binomial is a repeated sum, so :meth:`DiscreteFundamental.table` is
+the case ``Theta_0 = I`` of :func:`discrete_kernel`, which evaluates
+``sum_r Theta_r(u - r (m + 1))`` with ``Theta_{r+1}`` the cumulative sum
+of ``L(Theta_r)``, for the fundamental solution and the data alike.
 """
 
 from __future__ import annotations
@@ -39,22 +37,21 @@ import math
 
 import numpy as np
 
-from .errors import CommutationError, DegreeCapExceeded
-from .linalg import binomial, commutes
+from .errors import DegreeCapExceeded
 from .ppoly import (
     MAX_DEGREE,
     MatrixPolynomial,
     PiecewiseMatrixPolynomial,
     convolve_kernel,
 )
-from .qseq import build_q_table, q_commutative_closed_form
+from .qseq import (  # noqa: F401
+    build_q_table,  # unused: perfbench traces it (ROADMAP item 7)
+)
 
 __all__ = [
     "build_fundamental_continuous",
     "DiscreteFundamental",
     "discrete_kernel",
-    "fundamental_commutative_continuous",
-    "fundamental_commutative_discrete",
 ]
 
 log = logging.getLogger(__name__)
@@ -89,24 +86,23 @@ def build_fundamental_continuous(sys, horizon):
     sigma = sys.sigma
     d = sys.dim
     windows = delay_windows(horizon, sigma)
-    q = build_q_table(sys.a0, sys.a1, windows)
     log.debug(
         "fundamental(continuous): d=%d sigma=%g windows=%d", d, sigma, windows
     )
-    # Z(t) = sum_r q[r] Phi_r(t - r sigma) with Phi_0 = I from -sigma on
+    # Z(t) = sum_r Theta_r(t - r sigma) with Theta_0 = I from -sigma on
     identity = PiecewiseMatrixPolynomial(
         [-sigma, windows * sigma],
         [MatrixPolynomial.constant(np.eye(d))],
         right_extension=True,
     )
-    return convolve_kernel(q.mats, sigma, identity, -sigma, windows * sigma)
+    return convolve_kernel(sys.a0, sys.a1, sigma, identity, -sigma, windows * sigma)
 
 
 class DiscreteFundamental:
     """Evaluator for the discrete fundamental solution.
 
     :meth:`table` computes ``Z(u)`` over a whole index range with
-    :func:`discrete_kernel`, ``Phi_0 = I`` from ``-m`` on; :meth:`value`
+    :func:`discrete_kernel`, ``Theta_0 = I`` from ``-m`` on; :meth:`value`
     reads single indices from it and memoizes them.  The cache is
     pure-function style (an index always maps to the same matrix), so
     sharing an instance across callers is safe.
@@ -133,9 +129,8 @@ class DiscreteFundamental:
         if hi >= -m:
             # each row sums its terms in the same order whatever the
             # range, so table and value agree bit for bit
-            q = build_q_table(self.system.a0, self.system.a1, (hi + m) // (m + 1))
             identity = np.broadcast_to(np.eye(d), (hi + m + 1, d, d))
-            z = discrete_kernel(q.mats, identity, m, name="Z")
+            z = discrete_kernel(self.system.a0, self.system.a1, identity, m, name="Z")
             first = max(lo, -m)
             out[first - lo :] = z[first + m :]
         return out
@@ -151,29 +146,31 @@ class DiscreteFundamental:
         return hit
 
 
-def discrete_kernel(q, phi0, m, name="X"):
-    """``X(u) = sum_r q[r] Phi_r(u - r (m + 1))`` for ``u = -m .. -m + L - 1``.
+def discrete_kernel(a0, a1, phi0, m, name="X"):
+    """``X(u) = sum_r Theta_r(u - r (m + 1))`` for ``u = -m .. -m + L - 1``.
 
-    ``phi0`` is the ``(L, d, d)`` stack ``Phi_0(-m) .. Phi_0(-m + L - 1)``,
-    ``Phi_r`` is zero below ``-m`` and ``Phi_{r+1}`` is the inclusive
-    cumulative sum of ``Phi_r``; ``q`` must reach depth ``(L - 1) // (m +
-    1)``.  Term ``r`` needs ``Phi_r`` only on the first ``L - r (m + 1)``
-    rows, and every row adds its terms in order of ``r``.  Raises
+    ``phi0`` is the ``(L, d, d)`` stack ``Theta_0(-m) .. Theta_0(-m + L -
+    1)``, ``Theta_r`` is zero below ``-m`` and ``Theta_{r+1}`` is the
+    inclusive cumulative sum of ``L(Theta_r)``, ``L(M) = A0 M + M A1``.
+    Term ``r`` needs ``Theta_r`` only on the first ``L - r (m + 1)`` rows,
+    and every row adds its terms in order of ``r``.  Raises
     :class:`~delaymat.errors.DegreeCapExceeded` naming the first row
     (``name(u)``) that leaves the float range.
     """
     rows, d = phi0.shape[0], phi0.shape[1]
-    # (d, d, rows) layout: a term is one (d, d) @ (d, d * n) product, and
-    # each cumulative sum runs along the contiguous last axis
-    phi = np.transpose(phi0, (1, 2, 0)).copy()
-    out = np.zeros_like(phi)
+    # (d, d, rows) layout: A0 Theta is one (d, d) @ (d, d * n) product,
+    # Theta A1 one batch of d products, and each cumulative sum runs along
+    # the contiguous last axis
+    theta = np.transpose(phi0, (1, 2, 0)).copy()
+    out = theta.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(-(-rows // (m + 1))):
+        for r in range(1, -(-rows // (m + 1))):
             n = rows - r * (m + 1)
-            if r:
-                phi = np.cumsum(phi[:, :, :n], axis=2)
-            term = q[r] @ phi.reshape(d, d * n)
-            out[:, :, r * (m + 1) :] += term.reshape(d, d, n)
+            theta = theta[:, :, :n]
+            image = (a0 @ theta.reshape(d, d * n)).reshape(d, d, n)
+            image += np.matmul(a1.T, theta)
+            theta = np.cumsum(image, axis=2)
+            out[:, :, r * (m + 1) :] += theta
     finite = np.isfinite(out).all(axis=(0, 1))
     if not finite.all():
         u = int(np.argmin(finite)) - m
@@ -181,57 +178,3 @@ def discrete_kernel(q, phi0, m, name="X"):
             f"{name}(u) at u = {u} with delay m = {m} leaves the float range"
         )
     return np.ascontiguousarray(out.transpose(2, 0, 1))
-
-
-def _require_commuting(a0, a1, tol):
-    if not commutes(a0, a1, tol):
-        raise CommutationError(
-            "coefficients do not commute; the commutative closed form "
-            "does not apply (use the general construction)"
-        )
-
-
-def fundamental_commutative_continuous(sys, t, tol=None):
-    """Commutative-case value of the continuous fundamental solution at
-    scalar ``t``, from powers of ``A0`` and ``A1`` alone.
-
-    Raises :class:`~delaymat.errors.CommutationError` when ``A0`` and
-    ``A1`` fail the commutation check at ``tol``.
-    """
-    if not sys.is_continuous:
-        raise ValueError("needs a continuous system")
-    _require_commuting(sys.a0, sys.a1, tol)
-    sigma = sys.sigma
-    d = sys.dim
-    t = float(t)
-    if t < -sigma:
-        return np.zeros((d, d))
-    if t < 0:
-        return np.eye(d)
-    u = int(math.floor(t / sigma)) + 1
-    out = np.zeros((d, d))
-    for r in range(u + 1):
-        term = q_commutative_closed_form(sys.a0, sys.a1, r)
-        out += term * ((t - (r - 1) * sigma) ** r / math.factorial(r))
-    return out
-
-
-def fundamental_commutative_discrete(fund, u, tol=None):
-    """Commutative-case value of the discrete fundamental solution at
-    integer ``u``, from powers of ``A0`` and ``A1`` alone."""
-    sys = fund.system
-    _require_commuting(sys.a0, sys.a1, tol)
-    u = int(u)
-    m = sys.m
-    d = sys.dim
-    if u <= -m - 1:
-        return np.zeros((d, d))
-    if u <= 0:
-        return np.eye(d)
-    n = -(-u // (m + 1))
-    out = np.zeros((d, d))
-    for r in range(n + 1):
-        c = binomial(u - (r - 1) * m, r)
-        if c:
-            out += float(c) * q_commutative_closed_form(sys.a0, sys.a1, r)
-    return out

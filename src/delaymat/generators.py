@@ -21,6 +21,7 @@ __all__ = [
     "random_scalar_history",
     "random_scalar_forcing",
     "random_discrete_scalar_data",
+    "random_matrix_data",
 ]
 
 
@@ -60,7 +61,7 @@ def _scalar_ppoly(rng, d, lo, hi, deg, n_pieces=1, c1=False):
     drawn in the global variable and converted to local pieces.
 
     With ``c1=True`` the pieces are glued C^1 (value and slope matched
-    at the knots) so the result qualifies as a continuous history.
+    at the knots).
     """
     eye = np.eye(d)
     bks = np.linspace(lo, hi, n_pieces + 1)
@@ -109,3 +110,30 @@ def random_discrete_scalar_data(rng, sys, n_steps):
     hist = rng.uniform(-1.0, 1.0, size=sys.m + 1)[:, None, None] * eye
     g = rng.uniform(-1.0, 1.0, size=max(n_steps, 0))[:, None, None] * eye
     return HistorySpec.from_values(hist), ForcingSpec.from_values(g)
+
+
+def random_matrix_data(rng, sys, horizon):
+    """General history and forcing for either family, with entries
+    uniform in ``[-1, 1]`` and no relation to the coefficients.
+
+    Continuous: a history of three cubic pieces on ``[-sigma, 0]`` that
+    need not join, split at random points, and a forcing of five cubic
+    pieces on ``[0, horizon]`` with random knots.  Discrete: matrices for
+    ``u = -m .. 0`` and ``u = 0 .. horizon - 1``.
+    """
+    d = sys.dim
+    if not sys.is_continuous:
+        hist = rng.uniform(-1.0, 1.0, size=(sys.m + 1, d, d))
+        g = rng.uniform(-1.0, 1.0, size=(max(int(horizon), 0), d, d))
+        return HistorySpec.from_values(hist), ForcingSpec.from_values(g)
+
+    def cubic_pieces(lo, hi, count):
+        knots = np.concatenate([[lo], np.sort(rng.uniform(lo, hi, count - 1)), [hi]])
+        polys = [MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(4, d, d)))
+                 for _ in range(count)]
+        return PiecewiseMatrixPolynomial(knots, polys)
+
+    return (
+        HistorySpec.from_ppoly(cubic_pieces(-sys.sigma, 0.0, 3)),
+        ForcingSpec.from_ppoly(cubic_pieces(0.0, float(horizon), 5)),
+    )

@@ -4,9 +4,9 @@ The closed-form solutions produced by this package are exactly piecewise
 polynomial in time: matrix-valued polynomials on half-open segments
 ``[t_k, t_{k+1})`` glued at delay-multiple knots.  This module supplies
 that representation, pointwise evaluation and differentiation, and the
-one nontrivial primitive, :func:`convolve_kernel`: the convolution of
-the fundamental kernel with piecewise-polynomial data, evaluated by
-repeated integration.
+one nontrivial primitive, :func:`convolve_kernel`: the solution's
+repeated sum ``sum_r Theta_r(t - r sigma)`` over piecewise-polynomial
+data, evaluated by repeated integration.
 
 Representation choices:
 
@@ -466,90 +466,97 @@ def pieces_from_stack(stack, breakpoints):
     return pieces
 
 
-def convolve_kernel(q, sigma, phi0, lo, hi):
-    """The convolution of the fundamental kernel with piecewise
-    polynomial data, ``X(t) = sum_r q[r] Phi_r(t - r sigma)``, on
-    ``[lo, hi)``.
+def convolve_kernel(a0, a1, sigma, phi0, lo, hi):
+    """The solution's repeated sum ``X(t) = sum_r Theta_r(t - r sigma)``
+    on ``[lo, hi)``.
 
-    ``q`` is the ``(U + 1, d, d)`` stack of operator iterates.  ``Phi_0``
-    is ``phi0`` on and after its first breakpoint and zero before it (its
-    ``left_value`` is not used), and ``Phi_{r+1}`` is the antiderivative
-    of ``Phi_r`` taken from that breakpoint.  Every ``Phi_r`` shares the
-    ``K`` data pieces, so each is one ``(K, n, d, d)`` array of local
-    coefficients.  The output knots are the data knots shifted by
-    every ``r sigma``.  On an output interval starting at ``t0``, term
-    ``r`` is the ``Phi_r`` piece that holds ``t0 - r sigma``, re-expanded
-    at that point: a shift shorter than one data piece, and exactly zero
-    where the knots line up.
+    ``Theta_0`` is ``phi0`` on and after its first breakpoint and zero
+    before it (its ``left_value`` is not used), and ``Theta_{r+1}`` is the
+    antiderivative, taken from that breakpoint, of ``L(Theta_r)`` with
+    ``L(M) = A0 M + M A1``.  ``L`` acts on the matrix values and the
+    antiderivative on the powers, so every ``Theta_r`` shares the ``K``
+    data pieces and is one ``(K, n, d, d)`` array of local coefficients.
+    The window count follows from ``[lo, hi)``, ``sigma`` and the first
+    data knot: term ``r`` is live where ``t - r sigma`` has reached it.
+    The output knots are the data knots shifted by every ``r sigma``.  On
+    an output interval starting at ``t0``, term ``r`` is the ``Theta_r``
+    piece that holds ``t0 - r sigma``, re-expanded at that point: a shift
+    shorter than one data piece, and exactly zero where the knots line up.
 
     Once per solve: the output knots; for every (window, output interval)
     pair, the data piece that holds ``t0 - r sigma`` and the shift into
-    it, as two ``(U + 1, intervals)`` arrays; the widths' powers and the
+    it, as two ``(windows + 1, intervals)`` arrays; the widths' powers and the
     divisors of the running antiderivative.
 
-    Once per window ``r``: ``Phi_r``, the running antiderivative of
-    ``Phi_{r-1}``, written over ``Phi_{r-2}``, so two are held at a time;
-    the product ``q[r] Phi_r`` over the ``K`` data pieces, and its gather
-    onto the intervals where ``Phi_r`` is nonzero (a suffix, since
-    ``Phi_r`` is zero left of its first knot); their re-expansion
-    matrices (:func:`_shift_matrices`); and one batched product added into
-    the ``(intervals, n, d, d)`` output stack, so memory stays at one
-    coefficient stack per interval.  ``q[r]`` acts on the matrix rows and
-    the re-expansion on the powers, so it can be applied before the
-    gather, and it stays on the data pieces: ``K n d**3`` per window,
-    where a product per output interval would cost ``n d**3`` for every
-    (window, interval) pair, on top of the ``n**2 d**2`` of its
-    re-expansion.
+    Once per window ``r``: ``L`` on the live coefficients of
+    ``Theta_{r-1}``, into one buffer, and its running antiderivative,
+    ``Theta_r``, written over ``Theta_{r-2}``, so two are held at a time
+    (``K n d**3`` per window); the gather of ``Theta_r`` onto the
+    intervals where it is nonzero (a suffix, since ``Theta_r`` is zero
+    left of its first knot); their re-expansion matrices
+    (:func:`_shift_matrices`); and one batched product added into the
+    ``(intervals, n, d, d)`` output stack, so memory stays at one
+    coefficient stack per interval.
 
     The stack becomes the output pieces in one checked pass
     (:func:`pieces_from_stack`): coefficients past the float range raise
     :class:`~delaymat.errors.DegreeCapExceeded` naming the interval.
     """
-    q = np.asarray(q, dtype=float)
+    a0 = np.asarray(a0, dtype=float)
+    a1 = np.asarray(a1, dtype=float)
     d = phi0.dim
-    if q.ndim != 3 or q.shape[1:] != (d, d):
+    if a0.shape != (d, d) or a1.shape != (d, d):
         raise DimensionMismatch(
-            f"q must have shape (U + 1, {d}, {d}) to match the data, got {q.shape}"
+            f"a0 and a1 must have shape ({d}, {d}) to match the data, "
+            f"got {a0.shape} and {a1.shape}"
         )
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-    windows = q.shape[0] - 1
+    bks = phi0.breakpoints
+    last = len(phi0.pieces) - 1
+    # every window whose first knot could fall inside [lo, hi), up to one
+    # past the cap; the knots past hi are dropped by the merge, and their
+    # windows below
+    reach = min(max(0, math.ceil((hi - bks[0]) / sigma)), MAX_DEGREE + 1)
+    shifts = sigma * np.arange(reach + 1)
+    out_bks = _merge_breakpoints((bks[None, :] + shifts[:, None]).ravel(), lo, hi)
+    t0 = out_bks[:-1]
+    tm = 0.5 * (t0 + out_bks[1:])
+    # Theta_r is zero left of its first knot, so its intervals are a
+    # suffix, empty for the windows past hi
+    firsts = np.searchsorted(tm, bks[0] + shifts, side="right")
+    firsts = firsts[firsts < t0.size].tolist()
+    windows = max(0, len(firsts) - 1)
+    shifts = shifts[: windows + 1]
     n = max(p.degree for p in phi0.pieces) + windows + 1
     if n - 1 > MAX_DEGREE:
         raise DegreeCapExceeded(
             f"{windows} repeated integrals of degree-{n - 1 - windows} data "
             f"reach degree {n - 1}, above the cap {MAX_DEGREE}"
         )
-    bks = phi0.breakpoints
-    last = len(phi0.pieces) - 1
-    shifts = sigma * np.arange(windows + 1)
-    out_bks = _merge_breakpoints((bks[None, :] + shifts[:, None]).ravel(), lo, hi)
-    t0 = out_bks[:-1]
-    tm = 0.5 * (t0 + out_bks[1:])
-    # Phi_r is zero left of its first knot, so its intervals are a suffix
-    firsts = np.searchsorted(tm, bks[0] + shifts, side="right").tolist()
     # the data piece that holds t0 - r sigma, and the shift into it
     held = np.searchsorted(bks, tm - shifts[:, None], side="right") - 1
     np.clip(held, 0, last, out=held)
     offsets = (t0 - shifts[:, None]) - bks[held]
 
     acc = np.zeros((t0.size, n, d, d))
-    # Phi_r, and the buffer that receives Phi_{r+1}
-    phi, spare = np.zeros((2, last + 1, n, d, d))
+    # Theta_r, the buffer that receives Theta_{r+1}, and L(Theta_r)
+    theta, spare, image = np.zeros((3, last + 1, n, d, d))
     for k, p in enumerate(phi0.pieces):
-        phi[k, : p.coeffs.shape[0]] = p.coeffs
+        theta[k, : p.coeffs.shape[0]] = p.coeffs
     powers = _width_powers(np.diff(bks), n - 1)
     base_degree = n - 1 - windows
     with np.errstate(over="ignore", invalid="ignore"):
         for r, first in enumerate(firsts):
-            if first == t0.size:
-                break
-            if r:
-                _integrate_into(spare, phi[:, : n - 1], powers)
-                phi, spare = spare, phi
-            # Phi_r has degree base_degree + r at most
+            # Theta_r has degree base_degree + r at most
             m = base_degree + r + 1
-            terms = (q[r] @ phi[:, :m])[held[r, first:]].reshape(-1, m, d * d)
+            if r:
+                live = theta[:, : m - 1]
+                np.matmul(a0, live, out=image[:, : m - 1])
+                image[:, : m - 1] += live @ a1
+                _integrate_into(spare, image[:, : n - 1], powers)
+                theta, spare = spare, theta
+            terms = theta[held[r, first:], :m].reshape(-1, m, d * d)
             shifted = _shift_matrices(offsets[r, first:], m) @ terms
             acc[first:, :m] += shifted.reshape(-1, m, d, d)
             del terms, shifted  # not alive while the next window's are built

@@ -10,15 +10,9 @@ These are the only nonzero entries of the underlying two-index
 coefficient family (everything off its diagonal vanishes), so the table
 is stored as the one-dimensional stack ``q[0..depth]``.
 
-Because left multiplication by ``A0`` and right multiplication by ``A1``
-commute as operators, the iterates admit the binomial expansion
-
-    q[r] = sum_l C(r, l) A0**(r - l) A1**l
-
-for *every* coefficient pair, commuting or not.
-:func:`q_commutative_closed_form` evaluates that expansion directly; it
-is retained as an independently-computed cross-check and fast path,
-while the recursion above is the product of record.
+They are the coefficients of both fundamental solutions as the paper
+writes them, and ``--dump-q`` writes them out; the solvers apply ``L``
+itself (see :mod:`delaymat.solve`).
 """
 
 from __future__ import annotations
@@ -28,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeCapExceeded, DimensionMismatch
-from .linalg import as_square_matrix, binomial
+from .linalg import as_square_matrix
 
-__all__ = ["QTable", "build_q_table", "q_commutative_closed_form"]
+__all__ = ["QTable", "build_q_table"]
 
 
 @dataclass(frozen=True)
@@ -87,32 +81,3 @@ def build_q_table(a0, a1, depth):
             f"q[{int(np.argmin(finite))}] of depth {depth} leaves the float range"
         )
     return QTable(mats)
-
-
-def q_commutative_closed_form(a0, a1, r):
-    """Binomial form ``sum_l C(r, l) A0**(r-l) A1**l`` of ``q[r]``.
-
-    Evaluated power-by-power with exact integer binomials; for commuting
-    pairs this is the familiar ``(A0 + A1)**r`` expansion discussed with
-    the scalar theory, and it agrees with the recursion of
-    :func:`build_q_table` in general.
-    """
-    a0 = as_square_matrix(a0, "a0")
-    a1 = as_square_matrix(a1, "a1")
-    if a0.shape != a1.shape:
-        raise DimensionMismatch(
-            f"a0 and a1 must match, got {a0.shape} and {a1.shape}"
-        )
-    r = int(r)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    d = a0.shape[0]
-    pow0 = [np.eye(d)]
-    pow1 = [np.eye(d)]
-    for _ in range(r):
-        pow0.append(pow0[-1] @ a0)
-        pow1.append(pow1[-1] @ a1)
-    out = np.zeros((d, d))
-    for l in range(r + 1):
-        out += float(binomial(r, l)) * (pow0[r - l] @ pow1[l])
-    return out

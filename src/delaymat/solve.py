@@ -1,74 +1,56 @@
-"""Closed-form solution of initial value problems via the
-representation formulas.
+"""Closed-form solution of initial value problems as one repeated sum.
 
-With ``Z`` the matching fundamental solution, the continuous solution on
-``[-sigma, T]`` is
+Let ``L(M) = A0 M + M A1``.  The continuous solution on ``[-sigma, T]``
+is
 
-    X(t) = Z(t) Psi(-sigma)
-         + \\int_{-sigma}^{0} Z(t - sigma - s) Psi'(s) ds
-         + \\int_{0}^{t}      Z(t - sigma - s) G(s) ds.
+    X(t) = sum_{r=0}^{U} Theta_r(t - r sigma),
 
-Each window of ``Z`` is a sum of scalar truncated powers,
-``Z(v) = sum_r q[r] (v - (r-1) sigma)_+**r / r!`` for ``v >= -sigma``, so
-Cauchy's formula for repeated integration collapses the whole formula to
-
-    X(t) = sum_{r=0}^{U} q[r] Phi_r(t - r sigma),
-
-where ``Phi_0`` is ``Psi`` on ``[-sigma, 0]``, ``Psi(0) + \\int_0^x G`` on
-``[0, T]`` and zero below ``-sigma``, and ``Phi_{r+1}`` is the
-antiderivative of ``Phi_r`` taken from ``-sigma``.
-:func:`solve_continuous` builds ``Phi_0`` from the data and hands it to
+where ``Theta_0`` is ``Psi`` on ``[-sigma, 0]``, ``Psi(0) + \\int_0^x G``
+on ``[0, T]`` and zero below ``-sigma``, and ``Theta_{r+1}`` is the
+antiderivative of ``L(Theta_r)`` taken from ``-sigma``.  Differentiating
+the sum term by term gives ``G + L(X(t - sigma))``, since ``L`` commutes
+with integration, so the sum solves the equation for any history and
+forcing, commuting with ``A1`` or not, jumps included: the proof never
+reads ``Psi'``.  In vectorized form it is the delayed matrix exponential
+of ``I (x) A0 + A1^T (x) I`` (Khusainov and Shuklin, 2003).
+:func:`solve_continuous` builds ``Theta_0`` from the data and hands it to
 :func:`~delaymat.ppoly.convolve_kernel`, which evaluates the sum by
-repeated integration; ``Z`` itself is the case ``Phi_0 = I``.
+repeated integration; the fundamental solution ``Z`` is the case
+``Theta_0 = I``.
 
-The discrete solution for ``u = -m .. N`` is
+The discrete solution for ``u = -m .. N`` is, in the same way,
 
-    X(u) = Z(u) Psi(-m)
-         + sum_{r=-m+1}^{0} Z(u - m - r) (Psi(r) - Psi(r - 1))
-         + sum_{r=1}^{u}    Z(u - m - r) G(r - 1).
+    X(u) = sum_{r} Theta_r(u - r (m + 1)),
 
-``Z(v) = sum_r q[r] C(v - (r-1) m, r)`` for ``v >= -m``, that binomial is
-the ``r``-fold repeated sum of ones, and the data enter as steps, so the
-formula collapses in the same way to
-
-    X(u) = sum_{r} q[r] Phi_r(u - r (m + 1)),
-
-where ``Phi_0`` is ``Psi`` on ``-m .. 0``, ``Psi(0) + G(0) + .. + G(u -
-1)`` for ``u >= 1`` and zero below ``-m``, and ``Phi_{r+1}`` is the
-cumulative sum of ``Phi_r``.  :func:`solve_discrete` hands ``Phi_0`` to
+where ``Theta_0`` is ``Psi`` on ``-m .. 0``, ``Psi(0) + G(0) + .. + G(u -
+1)`` for ``u >= 1`` and zero below ``-m``, and ``Theta_{r+1}`` is the
+cumulative sum of ``L(Theta_r)`` (the discrete analogue of Diblík and
+Khusainov, 2006).  :func:`solve_discrete` hands ``Theta_0`` to
 :func:`~delaymat.fundamental.discrete_kernel`: ``(N + m) // (m + 1) + 1``
-cumulative sums and products, and no binomial coefficients.
+cumulative sums, and no binomial coefficients.
 
-Both formulas place the data to the *right* of the kernel: in both sums
-``q[r]`` multiplies ``Phi_r`` from the left, term by term, so each sum
-equals its representation formula for any data.  The formula
-solves the equation only when the right coefficient ``A1`` commutes with
-every history and forcing value, since ``A1`` acts on ``Z`` from the
-right and would otherwise have to pass the data (scalar multiples of the
-identity always qualify).  :func:`validate_hypotheses` checks exactly
-that, on the matrices the data is made of: a polynomial's values commute
-with ``A1`` exactly when its coefficients do, so the continuous check
-reads each piece's local coefficients and the discrete check the values,
-and neither samples anything.  Which data fits a system and a horizon
-is decided in :mod:`delaymat.system`, once for the solvers and the
-oracles.  A failed check raises
-:class:`~delaymat.errors.HypothesisViolation` unless the caller forces
-the evaluation with ``allow_noncommuting_data=True``, in which case the
-result is a formal plug-in of the formula and an
-:class:`~delaymat.errors.UnsupportedHypothesisWarning` is emitted.
+When ``A1`` commutes with every history and forcing value, ``L^r`` acts
+on the data as ``q[r] = L^r(I)`` from the left, ``Theta_r = q[r]
+Phi_r`` with ``Phi_r`` the plain repeated integral or sum of the data,
+and the sum is the paper's variation-of-constants formula term by term.
+:func:`validate_hypotheses` reports whether that holds, on the matrices
+the data is made of: a polynomial's values commute with ``A1`` exactly
+when its coefficients do, so the continuous check reads each piece's
+local coefficients and the discrete check the values.  The report is
+informational (the CLI records it in the run manifest); the solvers do
+not read it.  Which data fits a system and a horizon is decided in
+:mod:`delaymat.system`, once for the solvers and the oracles.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolation, UnsupportedHypothesisWarning
 from .fundamental import (  # noqa: F401
-    build_fundamental_continuous,  # unused: perfbench traces it (ROADMAP item 5)
+    build_fundamental_continuous,  # unused: perfbench traces it (ROADMAP item 7)
     delay_windows,
     discrete_kernel,
 )
@@ -80,8 +62,7 @@ from .ppoly import (
     pieces_from_stack,
     running_antiderivative,
 )
-from .qseq import build_q_table
-from .system import HistorySpec, TrajectoryTable, continuous_data, discrete_data
+from .system import TrajectoryTable, continuous_data, discrete_data
 
 __all__ = [
     "HypothesisReport",
@@ -92,13 +73,14 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Default commutation tolerance for the data hypothesis check.
+#: Relative tolerance of the data commutation report.
 HYPOTHESIS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Outcome of the data commutation check.
+    """Whether the data commutes with ``A1``, so that the paper's
+    ``q``-form of the sum applies term by term.
 
     Residuals are max-abs values of ``A1 V - V A1`` over the matrices
     ``V`` the history and forcing are made of (piece coefficients for
@@ -176,24 +158,8 @@ def validate_hypotheses(sys, history, forcing=None, tol=HYPOTHESIS_TOL, steps=No
     return report
 
 
-def _enforce_hypotheses(report, allow):
-    if report.ok:
-        return
-    if not allow:
-        raise HypothesisViolation(
-            f"{report.summary()}; pass allow_noncommuting_data=True to "
-            f"evaluate the formula anyway"
-        )
-    warnings.warn(
-        f"forcing the representation formula past a failed commutation "
-        f"check ({report.summary()}); the result need not solve the equation",
-        UnsupportedHypothesisWarning,
-        stacklevel=3,
-    )
-
-
 def _data_integral(psi, g, sigma, horizon):
-    """``Phi_0``: the history on ``[-sigma, 0]``, then ``Psi(0) +
+    """``Theta_0``: the history on ``[-sigma, 0]``, then ``Psi(0) +
     \\int_0^t G`` on ``[0, horizon]`` (constant without forcing)."""
     segs = psi.pieces_in(-sigma, 0.0)
     start = psi.eval_left(0.0)
@@ -215,28 +181,14 @@ def _data_integral(psi, g, sigma, horizon):
     )
 
 
-def solve_continuous(
-    sys,
-    history,
-    forcing,
-    horizon,
-    *,
-    allow_noncommuting_data=False,
-    hypothesis_tol=HYPOTHESIS_TOL,
-):
+def solve_continuous(sys, history, forcing, horizon):
     """Exact solution of the continuous initial value problem on
     ``[-sigma, horizon]`` as a piecewise matrix polynomial."""
     psi, g = continuous_data(sys, history, forcing, horizon)
-    # the formula reads the history's derivative, so it must be C^1
-    HistorySpec.from_ppoly(psi)
-    report = validate_hypotheses(sys, psi, g, tol=hypothesis_tol, steps=horizon)
-    _enforce_hypotheses(report, allow_noncommuting_data)
-
     horizon = float(horizon)
     sigma = sys.sigma
-    windows = delay_windows(horizon, sigma)
-    q = build_q_table(sys.a0, sys.a1, windows)
-    x = convolve_kernel(q.mats, sigma, _data_integral(psi, g, sigma, horizon),
+    delay_windows(horizon, sigma)  # refuses a horizon past the degree cap
+    x = convolve_kernel(sys.a0, sys.a1, sigma, _data_integral(psi, g, sigma, horizon),
                         -sigma, horizon)
     log.info(
         "solve(continuous): d=%d sigma=%g horizon=%g segments=%d degree=%d",
@@ -245,27 +197,15 @@ def solve_continuous(
     return x
 
 
-def solve_discrete(
-    sys,
-    history,
-    forcing,
-    n_steps,
-    *,
-    allow_noncommuting_data=False,
-    hypothesis_tol=HYPOTHESIS_TOL,
-):
+def solve_discrete(sys, history, forcing, n_steps):
     """Exact solution of the discrete initial value problem for
-    ``u = -m .. n_steps`` via the closed-form sums."""
+    ``u = -m .. n_steps`` via the repeated sum."""
     hist, g = discrete_data(sys, history, forcing, n_steps)
     n_steps, m, d = g.shape[0], sys.m, sys.dim
-    report = validate_hypotheses(sys, hist, g, tol=hypothesis_tol, steps=n_steps)
-    _enforce_hypotheses(report, allow_noncommuting_data)
-
-    # Phi_0: the history on -m .. 0, then Psi(0) + G(0) + .. + G(u - 1)
+    # Theta_0: the history on -m .. 0, then Psi(0) + G(0) + .. + G(u - 1)
     running = np.cumsum(np.concatenate([hist[-1:], g]), axis=0)
-    phi0 = np.concatenate([hist[:-1], running])
-    q = build_q_table(sys.a0, sys.a1, (n_steps + m) // (m + 1))
-    out = discrete_kernel(q.mats, phi0, m)
+    theta0 = np.concatenate([hist[:-1], running])
+    out = discrete_kernel(sys.a0, sys.a1, theta0, m)
     times = np.arange(-m, n_steps + 1, dtype=float)
     log.info("solve(discrete): d=%d m=%d steps=%d", d, m, n_steps)
     return TrajectoryTable(kind="discrete", times=times, values=out)

@@ -37,10 +37,6 @@ __all__ = [
     "discrete_data",
 ]
 
-#: Knot mismatch allowed when certifying a history as C^1.
-HISTORY_SMOOTHNESS_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class DelaySystem:
     """A delay equation's coefficients ``(a0, a1)`` plus its delay.
@@ -100,9 +96,9 @@ class DelaySystem:
 class HistorySpec:
     """Initial data on the delay window.
 
-    Continuous: a C^1 matrix-valued piecewise polynomial whose domain
-    must cover ``[-sigma, 0]`` at solve time.  Discrete: matrices for
-    ``u = -m .. 0`` stacked as ``values[(u + m)]``.
+    Continuous: a matrix-valued piecewise polynomial, jumps allowed,
+    whose domain must cover ``[-sigma, 0]`` at solve time.  Discrete:
+    matrices for ``u = -m .. 0`` stacked as ``values[(u + m)]``.
     """
 
     kind: str
@@ -110,24 +106,7 @@ class HistorySpec:
     values: np.ndarray | None = None
 
     @classmethod
-    def from_ppoly(cls, ppoly, smoothness_tol=HISTORY_SMOOTHNESS_TOL):
-        """Wrap a piecewise polynomial, certifying C^1 glue at interior
-        knots (value and first-derivative jumps within ``smoothness_tol``
-        scaled by the data's magnitude)."""
-        scale = max(1.0, max(float(np.max(np.abs(p.coeffs))) for p in ppoly.pieces))
-        tol = smoothness_tol * scale
-        jumps = ppoly.knot_jumps()
-        if jumps.size and jumps.max() > tol:
-            raise ValueError(
-                f"history is not continuous: knot value jump {jumps.max():.3e} "
-                f"exceeds {tol:.3e}"
-            )
-        djumps = ppoly.differentiate().knot_jumps()
-        if djumps.size and djumps.max() > tol:
-            raise ValueError(
-                f"history is not C^1: knot derivative jump {djumps.max():.3e} "
-                f"exceeds {tol:.3e}"
-            )
+    def from_ppoly(cls, ppoly):
         return cls(kind="continuous", ppoly=ppoly)
 
     @classmethod

@@ -26,3 +26,33 @@ def rounded(ints, k):
     ints = np.asarray(ints, dtype=object)
     scale = 1 << k
     return np.array([v / scale for v in ints.ravel()], dtype=float).reshape(ints.shape)
+
+
+def repeated_sum(a0, a1, theta0, m):
+    """``sum_r Theta_r(u - r (m + 1))`` for the rows ``u = -m ..`` of
+    ``theta0`` (a float stack, or an ``exact`` pair) in exact arithmetic,
+    rounded once, and the same sum run on ``|A0|``, ``|A1|`` and
+    ``|Theta_0|``, entry by entry: a bound on every quantity a float
+    evaluation of the sum rounds.
+
+    ``Theta_r`` is zero above its rows and ``Theta_{r+1}`` is the
+    cumulative sum of ``A0 Theta_r + Theta_r A1``.  With ``A0``, ``A1``
+    held as integers over ``2**ka`` and ``Theta_0`` over ``2**kp``,
+    ``Theta_r`` is exact over ``2**(kp + r ka)``, and each term is brought
+    to the last term's denominator before it is added."""
+    coef, ka = exact(np.stack([a0, a1]))
+    theta, kp = theta0 if isinstance(theta0, tuple) else exact(theta0)
+    rows = len(theta)
+    depth = -(-rows // (m + 1)) - 1
+    value = np.zeros(theta.shape, dtype=object)
+    terms = np.zeros(theta.shape, dtype=object)
+    chains = [(coef[0], coef[1], theta, value),
+              (abs(coef[0]), abs(coef[1]), abs(theta), terms)]
+    for b0, b1, term, total in chains:
+        for r in range(depth + 1):
+            if r:
+                term = term[: rows - r * (m + 1)]
+                term = np.cumsum(np.matmul(b0, term) + np.matmul(term, b1), axis=0)
+            total[r * (m + 1) :] += term * (1 << ((depth - r) * ka))
+    k = kp + depth * ka
+    return rounded(value, k), rounded(terms, k)

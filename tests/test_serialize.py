@@ -21,9 +21,11 @@ from delaymat import (
     fixtures,
     solve_continuous,
     solve_discrete,
+    validate_hypotheses,
 )
 from delaymat.generators import (
     random_discrete_scalar_data,
+    random_matrix_data,
     random_scalar_forcing,
     random_scalar_history,
     random_system,
@@ -124,6 +126,20 @@ class TestGlobalDrawsAreConverted:
         psi = random_scalar_history(rng, sys, deg=3, n_pieces=4).ppoly
         assert np.all(psi.knot_jumps() <= 1e-14)
         assert np.all(psi.differentiate().knot_jumps() <= 1e-13)
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_general_data_does_not_commute(self, kind):
+        # what verify --random draws: matrix data that A1 does not pass,
+        # and a continuous history that jumps at its knots
+        rng = np.random.default_rng(10)
+        sys = random_system(rng, 3, kind, sigma=0.7)
+        history, forcing = random_matrix_data(rng, sys, 7)
+        assert not validate_hypotheses(sys, history, forcing, steps=7).ok
+        if kind == "continuous":
+            assert history.ppoly.knot_jumps().min() > 1e-3
+            assert forcing.ppoly.end == 7.0
+        else:
+            assert forcing.values.shape == (7, 3, 3)
 
 
 @pytest.fixture(params=["continuous", "discrete"])

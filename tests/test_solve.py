@@ -1,24 +1,24 @@
 """Closed-form initial value problem solvers: worked-example values,
-structural identities, the data commutation hypothesis, and agreement
-between independent routes to the same solution."""
+structural identities, general (noncommuting, jumping) data against the
+oracles, the informational commutation report, and agreement between
+independent routes to the same solution."""
 
 from __future__ import annotations
 
 import re
-import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from delaymat import (
     DelaySystem,
-    DiscreteFundamental,
     ForcingSpec,
     HistorySpec,
-    HypothesisViolation,
-    UnsupportedHypothesisWarning,
     build_fundamental_continuous,
     fixtures,
+    integrate_continuous,
+    oracle,
     solve_continuous,
     solve_discrete,
     validate_hypotheses,
@@ -30,10 +30,9 @@ from delaymat.generators import (
     random_scalar_history,
     random_system,
 )
-from delaymat.linalg import binomial, max_abs
+from delaymat.linalg import max_abs
 from delaymat.ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
-from delaymat.qseq import build_q_table
-from exact_arith import exact, rounded
+from exact_arith import exact, repeated_sum
 
 
 def zero_history(d, sigma):
@@ -54,6 +53,19 @@ def integral_from_start(p, t):
         hi = t if k == len(p.pieces) - 1 else min(t, p.breakpoints[k + 1])
         total += piece.antiderivative().eval(hi - lo)
     return total
+
+
+def oracle_gap(sys, history, forcing, horizon):
+    """Largest per-window gap of the continuous solve to the exact
+    method-of-steps oracle, relative to ``max(max|oracle|, 1)``."""
+    x = solve_continuous(sys, history, forcing, horizon)
+    ref = integrate_continuous(sys, history, forcing, horizon)
+    got = x.eval(ref.times)
+    window = np.floor(ref.times / sys.sigma + 1e-9)
+    return max(
+        max_abs(got[rows] - ref.values[rows]) / max(max_abs(ref.values[rows]), 1.0)
+        for rows in (window == k for k in np.unique(window))
+    )
 
 
 class TestHypothesisCheck:
@@ -77,18 +89,7 @@ class TestHypothesisCheck:
         assert report.forcing_residual > 0.1
         assert "VIOLATED" in report.summary()
 
-    def test_solve_refuses_noncommuting_data(self, ex1_system, ex1_history):
-        bad = ForcingSpec.from_ppoly(
-            PiecewiseMatrixPolynomial(
-                [0.0, 3.0],
-                [MatrixPolynomial.constant([[0.0, 1.0], [0.0, 0.0]])],
-                right_extension=True,
-            )
-        )
-        with pytest.raises(HypothesisViolation):
-            solve_continuous(ex1_system, ex1_history, bad, 2.0)
-
-    def test_override_warns_and_returns_a_formal_result(
+    def test_solve_matches_the_oracle_on_noncommuting_data(
         self, ex1_system, ex1_history
     ):
         bad = ForcingSpec.from_ppoly(
@@ -98,11 +99,8 @@ class TestHypothesisCheck:
                 right_extension=True,
             )
         )
-        with pytest.warns(UnsupportedHypothesisWarning):
-            x = solve_continuous(
-                ex1_system, ex1_history, bad, 2.0, allow_noncommuting_data=True
-            )
-        assert x.dim == 2  # a formal evaluation is still produced
+        assert not validate_hypotheses(ex1_system, ex1_history, bad).ok
+        assert oracle_gap(ex1_system, ex1_history, bad, 2.0) <= 1e-10
 
     def test_tolerance_is_adjustable(self, ex1_system, ex1_history):
         slightly_off = ForcingSpec.from_ppoly(
@@ -115,10 +113,10 @@ class TestHypothesisCheck:
         assert not validate_hypotheses(
             ex1_system, ex1_history.ppoly, slightly_off
         ).ok
-        x = solve_continuous(
-            ex1_system, ex1_history, slightly_off, 1.0, hypothesis_tol=1e-6
-        )
-        assert x.dim == 2
+        assert validate_hypotheses(
+            ex1_system, ex1_history.ppoly, slightly_off, tol=1e-6
+        ).ok
+        assert oracle_gap(ex1_system, ex1_history, slightly_off, 1.0) <= 1e-10
 
     def test_history_is_checked_on_the_delay_window_only(self, ex1_system):
         # C^1 history on [-2, 0]: below -sigma = -1 it is I + N (t + 1)^2
@@ -340,84 +338,46 @@ class TestDiscreteStructure:
         assert (u <= first) if forced else (u == first)
 
 
-def double_loop_reference(sys, hist, g, n_steps):
-    """The representation formula term by term from ``Z(u)`` values."""
-    fund = DiscreteFundamental(sys)
-    m, d = sys.m, sys.dim
-    dpsi = np.diff(hist, axis=0)
-    out = np.empty((m + n_steps + 1, d, d))
-    for u in range(-m, n_steps + 1):
-        acc = fund.value(u) @ hist[0]
-        for r in range(-m + 1, 1):
-            acc = acc + fund.value(u - m - r) @ dpsi[r + m - 1]
-        for r in range(1, u + 1):
-            acc = acc + fund.value(u - m - r) @ g[r - 1]
-        out[u + m] = acc
-    return out
+def exact_stepper(sys, hist, g, n_steps):
+    """The defining recursion ``X(u + 1) = X(u) + A0 X(u - m) + X(u - m)
+    A1 + G(u)`` in exact integer arithmetic (integer data only)."""
+    m = sys.m
+    a0, a1 = (np.asarray(a, dtype=int).astype(object) for a in (sys.a0, sys.a1))
+    x = list(np.asarray(hist, dtype=int).astype(object))
+    for u in range(n_steps):
+        x.append(x[-1] + a0 @ x[-1 - m] + x[-1 - m] @ a1 + g[u].astype(int))
+    return np.array(x, dtype=float)
 
 
-def exact_representation(sys, hist, g, n_steps):
-    """The representation formula in exact rational arithmetic on the
-    float ``q``, history and forcing, rounded to float once, and the
-    scale ``sum_r ||q[r]||_inf max|Phi_r(u - r (m + 1))|`` of each row.
-
-    ``X(u) = Z(u) Psi(-m) + sum_k Z(u - 1 - k) D[k]`` with ``D`` the
-    history differences, then ``G``, and ``Z(v) = sum_r C(v - (r - 1) m,
-    r) q[r]`` from exact binomials.  ``Phi_0`` is the history, then
-    ``Psi(0) + G(0) + .. + G(u - 1)``; ``Phi_{r+1}`` is its cumulative
-    sum.
-    """
-    m, d = sys.m, sys.dim
-    rows = m + n_steps + 1
-    depth = (rows - 1) // (m + 1)
-    qf = build_q_table(sys.a0, sys.a1, depth).mats
-    q, kq = exact(qf)
-    data, kd = exact(np.concatenate([hist, g]))
-    psi, gq = data[: m + 1], data[m + 1 :]
-    z = [q[0]] * (m + 1)
-    for v in range(1, n_steps + 1):
-        z.append(sum(binomial(v - (r - 1) * m, r) * q[r]
-                     for r in range(-(-v // (m + 1)) + 1)))
-    z = np.array(z)
-    steps = np.concatenate([np.diff(psi, axis=0), gq])
-    x = np.empty(z.shape, dtype=object)
-    for i in range(rows):
-        x[i] = z[i] @ psi[0]
-        if i:
-            lagged = z[i - 1 :: -1].transpose(1, 0, 2).reshape(d, -1)
-            x[i] += lagged @ steps[:i].reshape(-1, d)
-    want = rounded(x, kq + kd)
-
-    running = np.cumsum(np.concatenate([psi[-1:], gq]), axis=0)
-    phi = np.concatenate([psi[:-1], running])
-    scale = np.zeros(rows)
-    for r in range(depth + 1):
-        n = rows - r * (m + 1)
-        if r:
-            phi = np.cumsum(phi[:n], axis=0)
-        size = rounded(np.abs(phi).max(axis=(1, 2)), kd)
-        scale[r * (m + 1) :] += np.abs(qf[r]).sum(axis=1).max() * size
-    return want, scale
+def exact_double_loop(sys, hist, g):
+    """``sum_r Theta_r(u - r (m + 1))`` over ``r`` and ``u`` in exact
+    arithmetic on the float coefficients and data, rounded once, and each
+    row's scale: the largest entry of the same sum run on ``|A0|``,
+    ``|A1|`` and ``|Theta_0|``.  ``Theta_0`` is the history, then
+    ``Psi(0) + G(0) + .. + G(u - 1)``."""
+    data, k = exact(np.concatenate([hist, g]))
+    m = sys.m
+    running = np.cumsum(data[m:], axis=0)
+    theta0 = np.concatenate([data[:m], running])
+    want, terms = repeated_sum(sys.a0, sys.a1, (theta0, k), m)
+    return want, terms.max(axis=(1, 2))
 
 
 def solve_general_data(sys, hist, g, kind, n_steps):
-    """Solve with matrix (not scalar) data; the commutation check is
-    bypassed because the sums are compared as algebra here."""
+    """Solve with matrix (not scalar) data, the forcing given as
+    ``kind``."""
     forcing = {
         "none": None,
         "array": g,
         "callable": ForcingSpec.from_callable(lambda u: g[u]),
     }[kind]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnsupportedHypothesisWarning)
-        table = solve_discrete(
-            sys, hist, forcing, n_steps, allow_noncommuting_data=True
-        )
+    table = solve_discrete(sys, hist, forcing, n_steps)
     return table.values, (np.zeros_like(g) if kind == "none" else g)
 
 
 class TestDiscreteConvolution:
-    """The repeated-sum kernel against the representation formula."""
+    """The repeated-sum kernel on general data against the exact sum and
+    the exact recursion."""
 
     @pytest.mark.parametrize("kind", ["none", "array", "callable"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -432,7 +392,7 @@ class TestDiscreteConvolution:
             hist = rng.uniform(-1.0, 1.0, size=(m + 1, d, d))
             g = rng.uniform(-1.0, 1.0, size=(n_steps, d, d))
             got, g = solve_general_data(sys, hist, g, kind, n_steps)
-            want, scale = exact_representation(sys, hist, g, n_steps)
+            want, scale = exact_double_loop(sys, hist, g)
             assert got.shape == want.shape
             gap = np.abs(got - want).max(axis=(1, 2))
             worst = int(np.argmax(gap / scale))
@@ -457,6 +417,58 @@ class TestDiscreteConvolution:
                 g = rng.integers(-3, 4, size=(n_steps, d, d)).astype(float)
                 got, g = solve_general_data(sys, hist, g, kind, n_steps)
                 np.testing.assert_array_equal(
-                    got, double_loop_reference(sys, hist, g, n_steps),
+                    got, exact_stepper(sys, hist, g, n_steps),
                     err_msg=f"d={d}, N={n_steps}",
                 )
+
+
+def jump_problem(d):
+    """A continuous system with matrix data that commutes with neither
+    coefficient: a history of three cubic pieces that jump at their
+    knots, and a forcing of five pieces with random knots."""
+    rng = np.random.default_rng([77, d])
+    sigma, windows = 0.75, 4
+    sys = random_system(rng, d, "continuous", sigma=sigma, entry_scale=1.0 / d)
+
+    def pieces(knots, deg):
+        return PiecewiseMatrixPolynomial(knots, [
+            MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(deg + 1, d, d)))
+            for _ in knots[:-1]
+        ])
+
+    history = pieces([-sigma, -0.5, -0.25, 0.0], 3)
+    inner = np.sort(rng.uniform(0.0, windows * sigma, size=4))
+    forcing = pieces([0.0, *inner, windows * sigma], 2)
+    return sys, history, forcing, windows
+
+
+class TestGeneralContinuousData:
+    """Noncommuting data with a jumping history, against the oracle's
+    method of steps run in exact ``Fraction`` arithmetic."""
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_matches_the_exact_method_of_steps(self, d):
+        sys, history, forcing, windows = jump_problem(d)
+        assert history.knot_jumps().min() > 1e-3
+        assert not validate_hypotheses(sys, history, forcing).ok
+        x = solve_continuous(sys, history, forcing, windows * sys.sigma)
+
+        frac = np.vectorize(Fraction, otypes=[object])
+
+        def data(p):
+            knots, coeffs, left = oracle._data(p)
+            return [Fraction(b) for b in knots], [frac(c) for c in coeffs], frac(left)
+
+        pieces = oracle._window_pieces(
+            frac(sys.a0), frac(sys.a1), Fraction(sys.sigma),
+            data(history), data(forcing), windows,
+        )
+        for w, (knots, coeffs) in enumerate(pieces):
+            ts, exact = [], []
+            for j, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
+                for t in (float(a + (b - a) * s) for s in (0, 0.3, 0.7)):
+                    ts.append(t)
+                    exact.append(oracle._horner(coeffs[j], Fraction(t) - a))
+            exact = np.array(exact, dtype=float)
+            gap = max_abs(x.eval(np.array(ts)) - exact)
+            assert gap <= 1e-13 * max(max_abs(exact), 1.0), (w, gap)
