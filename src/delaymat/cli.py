@@ -371,7 +371,10 @@ def _cmd_solve(args):
 
 
 def _verify_inputs(args, rng):
-    """System + data for `verify`, either from files or seeded random."""
+    """System + data for `verify`, either from files or seeded random.
+    An explicit ``--to`` is checked before any data is drawn or loaded."""
+    if args.stop is not None and not 0 < args.stop < math.inf:
+        _flag_error("--to must be positive and finite", "--to")
     if args.random:
         kind = "continuous" if args.kind == "cont" else "discrete"
         sys_ = random_system(rng, args.d, kind, entry_scale=1.0 / args.d)
@@ -402,8 +405,6 @@ def _cmd_verify(args):
     rng = np.random.default_rng(args.seed)
     sys_, history, forcing, horizon = _verify_inputs(args, rng)
     if sys_.is_continuous:
-        if horizon <= 0:
-            _flag_error("--to must be positive", "--to")
         tol = 1e-10 if args.tol is None else args.tol
         x = solve_continuous(sys_, history, forcing, horizon)
         oracle = integrate_continuous(

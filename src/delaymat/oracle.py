@@ -24,9 +24,10 @@ piece.
 
 The piece arithmetic is written once over the coefficient dtype: it runs
 on floats, and unchanged on ``fractions.Fraction`` object arrays, which
-the tests use as exact ground truth.  The pieces are then sampled by
-Horner's rule on a uniform grid aligned to the delay, in place into one
-output stack.  From :mod:`delaymat.ppoly` the oracle reads only the
+the tests use as exact ground truth.  The pieces are then sampled on a
+uniform grid aligned to the delay, in place into one output stack: each
+piece's rows are one product of their power table with the piece's
+coefficients.  From :mod:`delaymat.ppoly` the oracle reads only the
 data's ``breakpoints``, ``pieces[k].coeffs`` and ``left_value``; it
 re-expands, integrates and evaluates with its own loops.
 """
@@ -51,10 +52,6 @@ log = logging.getLogger(__name__)
 #: with them only at the rows, and a coarser grid would sample each
 #: window's polynomials too sparsely to expose a wrong one.
 MIN_SUBSTEPS = 16
-
-#: Entries of ``(rows, d, d)`` output evaluated per Horner block: a block
-#: stays in cache across the passes of the rule.
-_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -198,10 +195,20 @@ def _sample(pieces, times, n, out):
     Window ``w`` of ``pieces`` owns rows ``w n`` up to ``(w + 1) n``
     (the last window also the row after), and within it each piece the
     rows from its first knot on; ``out`` may hold fewer rows than the
-    windows cover.  Each piece's rows are evaluated by Horner's rule in
-    blocks that stay in cache, so a row never depends on its block.
+    windows cover.  ``out`` is C-contiguous, so that each piece's rows
+    are one ``(rows, d * d)`` view, filled by one product of their power
+    table ``tau**0 .. tau**(k - 1)`` with the piece's ``(k, d * d)``
+    coefficients.  On floats that product may run through BLAS, whose
+    blocking depends on the number of rows: a row's last bits can depend
+    on how many rows its piece has, but the same grid gives the same
+    bits.  On ``Fraction`` object arrays the product is exact.
     """
-    block = max(1, _BLOCK_ENTRIES // max(1, out[0].size))
+    if not out.flags.c_contiguous:
+        # a reshape of anything else would be a copy, and the values lost
+        raise ValueError("out must be C-contiguous")
+    # spelled out, since a piece may own no rows and -1 is not inferred
+    # from an empty slice
+    cols = math.prod(out.shape[1:])
     for w, (knots, c) in enumerate(pieces):
         first = w * n
         if first >= len(times):
@@ -209,14 +216,13 @@ def _sample(pieces, times, n, out):
         last = min(first + n + (w == len(pieces) - 1), len(times))
         inner = first + np.searchsorted(times[first:last], knots[1:-1])
         cuts = [first, *inner, last]
+        k = c.shape[1]
         for j, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-            for b in range(lo, hi, block):
-                rows = out[b : min(b + block, hi)]
-                tau = (times[b : b + rows.shape[0]] - knots[j])[:, None, None]
-                rows[...] = c[j, -1]
-                for cm in c[j, -2::-1]:
-                    rows *= tau
-                    rows += cm
+            np.matmul(
+                np.vander(times[lo:hi] - knots[j], k, increasing=True),
+                c[j].reshape(k, cols),
+                out=out[lo:hi].reshape(hi - lo, cols),
+            )
 
 
 def integrate_continuous(sys, history, forcing, horizon, config=None):

@@ -194,14 +194,6 @@ class MatrixPolynomial:
         shifted = _shift_matrices([s], n)[0] @ flat
         return MatrixPolynomial(shifted.reshape(self.coeffs.shape))
 
-    def lmul(self, mat):
-        """Constant left factor: ``mat @ p(t)``."""
-        return MatrixPolynomial(np.asarray(mat, dtype=float) @ self.coeffs)
-
-    def rmul(self, mat):
-        """Constant right factor: ``p(t) @ mat``."""
-        return MatrixPolynomial(self.coeffs @ np.asarray(mat, dtype=float))
-
     def __repr__(self):
         return f"MatrixPolynomial(degree={self.degree}, dim={self.dim})"
 

@@ -549,6 +549,22 @@ class TestVerifyCommand:
         assert code == 2
         assert "--random" in err
 
+    @pytest.mark.parametrize("stop", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ("--random",),
+            ("--random", "--kind", "disc"),
+            # files that do not exist: --to is refused before any is read
+            ("--system", "missing-sys.json", "--history", "missing-hist.json"),
+        ],
+    )
+    def test_horizon_is_checked_before_the_data(self, capsys, source, stop):
+        code, out, err = run_cli(capsys, "verify", *source, "--to", stop)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --to: --to must be positive and finite"]
+
 
 class TestDataThatDoesNotFit:
     """Data files that load but do not fit the system or the horizon."""

@@ -28,12 +28,14 @@ from delaymat import (
 )
 from delaymat.generators import (
     random_discrete_scalar_data,
+    random_matrix_data,
     random_scalar_forcing,
     random_scalar_history,
     random_system,
 )
 from delaymat.linalg import max_abs
 from delaymat.ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
+from delaymat.system import continuous_data
 
 EPS = np.finfo(float).eps
 
@@ -316,7 +318,7 @@ def reference_integrate(sys, psi, g, horizon, n):
         for a, b in zip(cuts[:-1], cuts[1:]):
             da, _, poly = next(t for t in delayed if t[0] <= (a + b) / 2 < t[1])
             dpoly = poly.shift(a - da)
-            terms = [dpoly.lmul(sys.a0).coeffs, dpoly.rmul(sys.a1).coeffs]
+            terms = [sys.a0 @ dpoly.coeffs, dpoly.coeffs @ sys.a1]
             if g is not None:
                 terms.append(g.pieces_in(a, b)[0][2].coeffs)
             piece = MatrixPolynomial(padded_sum(*terms)).antiderivative()
@@ -331,10 +333,10 @@ def reference_integrate(sys, psi, g, horizon, n):
 
 class TestSweepAgainstReference:
     """The oracle's batched method of steps (merged knots, re-expansion
-    by synthetic division, blocked Horner sampling) against the literal
-    reference above: same grid, and per delay window the same values to
-    within 16 eps of the window's magnitude (the two re-expand and
-    evaluate by different rules)."""
+    by synthetic division, one power-table product per piece) against
+    the literal reference above: same grid, and per delay window the
+    same values to within 16 eps of the window's magnitude (the two
+    re-expand and evaluate by different rules)."""
 
     @pytest.mark.parametrize("jump", [False, True])
     @pytest.mark.parametrize("windows", [1, 2, 3])
@@ -478,6 +480,58 @@ class TestExactAgainstFraction:
                     continue
                 end = oracle._horner(coeffs[j], b - a)
                 assert (end == after).all(), f"window {w}, knot {b}"
+
+
+class TestSampling:
+    """``_sample`` on float pieces of the ``verify-wide`` size (d = 32,
+    4 windows) against exact evaluation of the same float coefficients
+    at the exact local times: each entry within ``(k + 1) eps`` of
+    ``sum_j |c_j| |tau|**j`` for ``k`` coefficients.  n = 16 rows per
+    window gives each piece a few rows, n = 2048 gives it hundreds, so
+    both small and large products are covered."""
+
+    @pytest.mark.parametrize("n", [16, 2048])
+    def test_float_sampling_matches_exact_evaluation(self, n):
+        rng = np.random.default_rng([970, n])
+        d, windows = 32, 4
+        sys = random_system(rng, d, "continuous", entry_scale=1.0 / d)
+        horizon = windows * sys.sigma
+        psi, g = continuous_data(sys, *random_matrix_data(rng, sys, horizon), horizon)
+        pieces = oracle._window_pieces(
+            sys.a0, sys.a1, sys.sigma, oracle._data(psi), oracle._data(g), windows
+        )
+        grid = -sys.sigma + (sys.sigma / n) * np.arange((windows + 1) * n + 1)
+        out = np.empty((grid.size, d, d))
+        oracle._sample(pieces, grid, n, out)
+        eps = Fraction(EPS)
+        for w, (knots, coeffs) in enumerate(pieces):
+            rows = np.arange(w * n, (w + 1) * n + (w == windows))
+            # the piece that owns each row: the inner knots at or left of it
+            owner = np.searchsorted(knots[1:-1], grid[rows], side="right")
+            # the first and last row of every piece that owns rows
+            edges = np.flatnonzero(np.diff(owner))
+            for r in sorted({0, *edges, *(edges + 1), len(rows) - 1}):
+                i, j = rows[r], owner[r]
+                tau = Fraction(grid[i]) - Fraction(knots[j])
+                for a, b in rng.integers(0, d, size=(3, 2)):
+                    c = [Fraction(x) for x in coeffs[j, :, a, b].tolist()]
+                    exact = sum(cm * tau**m for m, cm in enumerate(c))
+                    size = sum(abs(cm * tau**m) for m, cm in enumerate(c))
+                    err = abs(Fraction(out[i, a, b]) - exact)
+                    assert err <= (len(c) + 1) * eps * size, (
+                        f"row {i}, piece {j} of window {w}: "
+                        f"{float(err / (eps * size)):.2f} eps"
+                    )
+
+    def test_out_must_be_c_contiguous(self):
+        sys, psi, g, _ = knotty_problem(np.random.default_rng(971), 1)
+        pieces = oracle._window_pieces(
+            sys.a0, sys.a1, sys.sigma, oracle._data(psi), oracle._data(g), 1
+        )
+        grid = -sys.sigma + (sys.sigma / 16) * np.arange(33)
+        out = np.empty((grid.size, 2, 2)).transpose(0, 2, 1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            oracle._sample(pieces, grid, 16, out)
 
 
 class TestOracleIndependence:
