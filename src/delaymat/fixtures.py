@@ -11,15 +11,17 @@ pipeline end to end:
   ``Psi(u) = u I`` on ``u in {-1, 0}``, forcing ``G = I``.
 
 Expected values carry a provenance label.  ``tabulated`` entries match
-the worked hand tabulation these fixtures were transcribed from and were
-re-verified against the defining equations.  ``recomputed`` entries are
-the cases where the hand tabulation **fails** the defining equation;
-the stored value is recomputed from the generating recursion /
-method-of-steps reduction and cross-checked against the independent
-stepping oracles, while the rejected value is kept (``superseded``) so
-the reports can document the adjudication: each rejected polynomial is
-shown to violate the defining equation by a macroscopic margin, and
-each accepted one to satisfy it.
+the worked hand tabulation these fixtures were transcribed from.
+``recomputed`` entries are the cases where the hand tabulation **fails**
+the defining equation; the stored value is recomputed, and the rejected
+value is kept (``superseded``) so the reports can document the
+adjudication.
+
+Example 1 is adjudicated exactly: its entries are stored as rationals
+and compared for equality with the oracle's method of steps run in
+``Fraction`` arithmetic, which also proves each rejected entry wrong by
+exact inequality.  Example 2's entries are small integers, which floats
+carry exactly, checked against the stepping recursion.
 
 :func:`run_example1` / :func:`run_example2` execute the solvers against
 these expectations and return an :class:`ExampleReport` with one
@@ -30,12 +32,12 @@ exactly that report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction as F
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
+from . import oracle
 from .fundamental import DiscreteFundamental, build_fundamental_continuous
-from .oracle import IntegratorConfig, integrate_continuous, step_discrete
 from .ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
 from .solve import solve_continuous, solve_discrete
 from .system import DelaySystem, ForcingSpec, HistorySpec
@@ -57,8 +59,6 @@ __all__ = [
     "EXAMPLE1_X_ENTRIES",
     "EXAMPLE2_Z_TABLE",
     "EXAMPLE2_X_TABLE",
-    "segment_samples",
-    "rejected_entry_residual",
     "run_example1",
     "run_example2",
     "run_example",
@@ -67,8 +67,8 @@ __all__ = [
 #: Entry matches the hand tabulation (and the defining equation).
 TABULATED = "tabulated"
 #: Hand-tabulated entry failed the defining equation and was replaced by
-#: the value recomputed from the recursion; the rejected value is kept
-#: in ``superseded`` for the adjudication demos.
+#: the recomputed value; the rejected value is kept in ``superseded``
+#: for the adjudication.
 RECOMPUTED = "recomputed"
 
 
@@ -79,19 +79,17 @@ class SegmentEntry:
     ``coeffs`` are ascending global-basis coefficients of the accepted
     polynomial for entry ``(row, col)`` (0-based) on ``[lo, hi)``;
     ``superseded`` keeps the rejected hand-tabulated coefficients when
-    ``provenance == RECOMPUTED``.
+    ``provenance == RECOMPUTED``.  Both are exact rationals: ``int`` or
+    ``Fraction``.
     """
 
     row: int
     col: int
-    lo: float
-    hi: float
+    lo: int
+    hi: int
     coeffs: tuple
     provenance: str
     superseded: tuple | None = None
-
-    def eval(self, ts):
-        return npoly.polyval(np.asarray(ts, dtype=float), np.asarray(self.coeffs))
 
     def label(self, name):
         return f"{name}[{self.row + 1},{self.col + 1}] on [{self.lo:g},{self.hi:g})"
@@ -121,31 +119,22 @@ class TableEntry:
 
 @dataclass(frozen=True)
 class CheckLine:
-    """One pass/fail line of an example report.
-
-    ``relation`` is ``"<="`` for agreement checks (measured deviation at
-    most ``tol``) and ``">="`` for violation demos (the rejected value
-    must miss the defining equation by at least ``tol``).
-    """
+    """One pass/fail line of an example report: what was checked, where
+    its expectation comes from, whether it holds, and what was found."""
 
     label: str
     provenance: str
-    measured: float
-    tol: float
-    relation: str = "<="
-
-    @property
-    def ok(self):
-        if self.relation == "<=":
-            return self.measured <= self.tol
-        return self.measured >= self.tol
+    ok: bool
+    detail: str
 
     def render(self):
         mark = "PASS" if self.ok else "FAIL"
-        return (
-            f"{mark}  [{self.provenance:<10}] {self.label}: "
-            f"{self.measured:.3e} {self.relation} {self.tol:g}"
-        )
+        return f"{mark}  [{self.provenance:<10}] {self.label}: {self.detail}"
+
+
+def _within(label, provenance, measured, tol):
+    """The line of a tolerance check, ``measured <= tol``."""
+    return CheckLine(label, provenance, measured <= tol, f"{measured:.3e} <= {tol:g}")
 
 
 @dataclass(frozen=True)
@@ -205,72 +194,67 @@ def example1_forcing(horizon=3.0):
 #: because both coefficient matrices are upper triangular.
 EXAMPLE1_Z_ENTRIES = (
     # [-1, 0): identity history of the fundamental solution
-    SegmentEntry(0, 0, -1.0, 0.0, (1.0,), TABULATED),
-    SegmentEntry(0, 1, -1.0, 0.0, (0.0,), TABULATED),
-    SegmentEntry(1, 0, -1.0, 0.0, (0.0,), TABULATED),
-    SegmentEntry(1, 1, -1.0, 0.0, (1.0,), TABULATED),
+    SegmentEntry(0, 0, -1, 0, (1,), TABULATED),
+    SegmentEntry(0, 1, -1, 0, (0,), TABULATED),
+    SegmentEntry(1, 0, -1, 0, (0,), TABULATED),
+    SegmentEntry(1, 1, -1, 0, (1,), TABULATED),
     # [0, 1)
-    SegmentEntry(0, 0, 0.0, 1.0, (1.0, 1.0), TABULATED),
-    SegmentEntry(0, 1, 0.0, 1.0, (0.0, 1.0), TABULATED),
-    SegmentEntry(1, 0, 0.0, 1.0, (0.0,), TABULATED),
-    SegmentEntry(1, 1, 0.0, 1.0, (1.0, 2.0), TABULATED),
+    SegmentEntry(0, 0, 0, 1, (1, 1), TABULATED),
+    SegmentEntry(0, 1, 0, 1, (0, 1), TABULATED),
+    SegmentEntry(1, 0, 0, 1, (0,), TABULATED),
+    SegmentEntry(1, 1, 0, 1, (1, 2), TABULATED),
     # [1, 2)
-    SegmentEntry(0, 0, 1.0, 2.0, (3 / 2, 0.0, 1 / 2), TABULATED),
+    SegmentEntry(0, 0, 1, 2, (F(3, 2), 0, F(1, 2)), TABULATED),
     SegmentEntry(
-        0, 1, 1.0, 2.0, (2.0, -3.0, 2.0), RECOMPUTED, superseded=(3 / 2, -2.0, 3 / 2)
+        0, 1, 1, 2, (2, -3, 2), RECOMPUTED, superseded=(F(3, 2), -2, F(3, 2))
     ),
-    SegmentEntry(1, 0, 1.0, 2.0, (0.0,), TABULATED),
-    SegmentEntry(1, 1, 1.0, 2.0, (3.0, -2.0, 2.0), TABULATED),
+    SegmentEntry(1, 0, 1, 2, (0,), TABULATED),
+    SegmentEntry(1, 1, 1, 2, (3, -2, 2), TABULATED),
     # [2, 3)
-    SegmentEntry(0, 0, 2.0, 3.0, (1 / 6, 2.0, -1 / 2, 1 / 6), TABULATED),
+    SegmentEntry(0, 0, 2, 3, (F(1, 6), 2, F(-1, 2), F(1, 6)), TABULATED),
     SegmentEntry(
-        0, 1, 2.0, 3.0,
-        (-14.0, 21.0, -10.0, 2.0), RECOMPUTED,
-        superseded=(-13 / 2, 10.0, -9 / 2, 1.0),
+        0, 1, 2, 3, (-14, 21, -10, 2), RECOMPUTED,
+        superseded=(F(-13, 2), 10, F(-9, 2), 1),
     ),
-    SegmentEntry(1, 0, 2.0, 3.0, (0.0,), TABULATED),
+    SegmentEntry(1, 0, 2, 3, (0,), TABULATED),
     SegmentEntry(
-        1, 1, 2.0, 3.0,
-        (-23 / 3, 14.0, -6.0, 4 / 3), RECOMPUTED,
-        superseded=(-13.0, 22.0, -10.0, 2.0),
+        1, 1, 2, 3, (F(-23, 3), 14, -6, F(4, 3)), RECOMPUTED,
+        superseded=(-13, 22, -10, 2),
     ),
 )
 
 #: Solution of Example 1 with history t*I and forcing I, same layout.
 EXAMPLE1_X_ENTRIES = (
     # [-1, 0): the prescribed history t*I
-    SegmentEntry(0, 0, -1.0, 0.0, (0.0, 1.0), TABULATED),
-    SegmentEntry(0, 1, -1.0, 0.0, (0.0,), TABULATED),
-    SegmentEntry(1, 0, -1.0, 0.0, (0.0,), TABULATED),
-    SegmentEntry(1, 1, -1.0, 0.0, (0.0, 1.0), TABULATED),
+    SegmentEntry(0, 0, -1, 0, (0, 1), TABULATED),
+    SegmentEntry(0, 1, -1, 0, (0,), TABULATED),
+    SegmentEntry(1, 0, -1, 0, (0,), TABULATED),
+    SegmentEntry(1, 1, -1, 0, (0, 1), TABULATED),
     # [0, 1)
-    SegmentEntry(0, 0, 0.0, 1.0, (0.0, 0.0, 1 / 2), TABULATED),
-    SegmentEntry(0, 1, 0.0, 1.0, (0.0, -1.0, 1 / 2), TABULATED),
-    SegmentEntry(1, 0, 0.0, 1.0, (0.0,), TABULATED),
-    SegmentEntry(1, 1, 0.0, 1.0, (0.0, -1.0, 1.0), TABULATED),
+    SegmentEntry(0, 0, 0, 1, (0, 0, F(1, 2)), TABULATED),
+    SegmentEntry(0, 1, 0, 1, (0, -1, F(1, 2)), TABULATED),
+    SegmentEntry(1, 0, 0, 1, (0,), TABULATED),
+    SegmentEntry(1, 1, 0, 1, (0, -1, 1), TABULATED),
     # [1, 2)
-    SegmentEntry(0, 0, 1.0, 2.0, (-2 / 3, 3 / 2, -1 / 2, 1 / 6), TABULATED),
+    SegmentEntry(0, 0, 1, 2, (F(-2, 3), F(3, 2), F(-1, 2), F(1, 6)), TABULATED),
     SegmentEntry(
-        0, 1, 1.0, 2.0,
-        (-8 / 3, 5.0, -7 / 2, 2 / 3), RECOMPUTED,
-        superseded=(-2.0, 7 / 2, -5 / 2, 1 / 2),
+        0, 1, 1, 2, (F(-8, 3), 5, F(-7, 2), F(2, 3)), RECOMPUTED,
+        superseded=(-2, F(7, 2), F(-5, 2), F(1, 2)),
     ),
-    SegmentEntry(1, 0, 1.0, 2.0, (0.0,), TABULATED),
-    SegmentEntry(1, 1, 1.0, 2.0, (-8 / 3, 5.0, -3.0, 2 / 3), TABULATED),
+    SegmentEntry(1, 0, 1, 2, (0,), TABULATED),
+    SegmentEntry(1, 1, 1, 2, (F(-8, 3), 5, -3, F(2, 3)), TABULATED),
     # [2, 3)
     SegmentEntry(
-        0, 0, 2.0, 3.0, (4 / 3, -11 / 6, 3 / 2, -1 / 3, 1 / 24), TABULATED
+        0, 0, 2, 3, (F(4, 3), F(-11, 6), F(3, 2), F(-1, 3), F(1, 24)), TABULATED
     ),
     SegmentEntry(
-        0, 1, 2.0, 3.0,
-        (64 / 3, -35.0, 41 / 2, -16 / 3, 1 / 2), RECOMPUTED,
-        superseded=(10.0, -33 / 2, 19 / 2, -5 / 2, 1 / 4),
+        0, 1, 2, 3, (F(64, 3), -35, F(41, 2), F(-16, 3), F(1, 2)), RECOMPUTED,
+        superseded=(10, F(-33, 2), F(19, 2), F(-5, 2), F(1, 4)),
     ),
-    SegmentEntry(1, 0, 2.0, 3.0, (0.0,), TABULATED),
+    SegmentEntry(1, 0, 2, 3, (0,), TABULATED),
     SegmentEntry(
-        1, 1, 2.0, 3.0,
-        (40 / 3, -65 / 3, 13.0, -10 / 3, 1 / 3), RECOMPUTED,
-        superseded=(64 / 3, -35.0, 21.0, -16 / 3, 1 / 2),
+        1, 1, 2, 3, (F(40, 3), F(-65, 3), 13, F(-10, 3), F(1, 3)), RECOMPUTED,
+        superseded=(F(64, 3), -35, 21, F(-16, 3), F(1, 2)),
     ),
 )
 
@@ -325,158 +309,123 @@ EXAMPLE2_X_TABLE = (
 # Report machinery
 # ---------------------------------------------------------------------------
 
-
-def segment_samples(lo, hi, n):
-    """``n`` midpoint samples strictly inside ``[lo, hi)`` (knots carry
-    the half-open convention, so checks sample away from them)."""
-    return lo + (hi - lo) * (np.arange(n) + 0.5) / n
-
-
-def rejected_entry_residual(solution, sys, entry, forcing_value, at, coeffs=None):
-    """Defining-equation residual of one candidate scalar entry at ``at``.
-
-    Holds every other entry at the accepted ``solution`` (the delayed
-    argument lands on the previous, uncontested segment) and measures
-    ``|p'(at) - [A0 X(at-sigma) + X(at-sigma) A1 + G(at)][row, col]|``
-    for the candidate polynomial ``p`` — by default the rejected
-    ``entry.superseded`` coefficients; pass ``coeffs`` to test another
-    candidate (e.g. the accepted one, whose residual vanishes).
-    """
-    if coeffs is None:
-        coeffs = entry.superseded
-    dcoeffs = npoly.polyder(np.asarray(coeffs, dtype=float))
-    slope = npoly.polyval(at, dcoeffs)
-    delayed = solution.eval(at - sys.sigma)
-    rhs = sys.a0 @ delayed + delayed @ sys.a1 + forcing_value
-    return float(abs(slope - rhs[entry.row, entry.col]))
+#: Example 1 is displayed on three delay windows; Example 2 on six steps.
+_EX1_WINDOWS = 3
+_EX2_STEPS = 6
+#: Float closed form against the exact pieces, relative per window.
+_FLOAT_TOL = 1e-10
+#: Example 2's entries against the library and the stepping recursion.
+_TABLE_TOL = 1e-9
 
 
-def _entry_lines(name, ppoly, entries, samples_per_segment, tol):
-    lines = []
-    for entry in entries:
-        ts = segment_samples(entry.lo, entry.hi, samples_per_segment)
-        got = ppoly.eval(ts)[:, entry.row, entry.col]
-        err = float(np.max(np.abs(got - entry.eval(ts))))
-        lines.append(CheckLine(entry.label(name), entry.provenance, err, tol))
-    return lines
+def _exact_pieces(sys, history, forcing):
+    """Example 1's exact method of steps: the oracle's window pieces run
+    in ``Fraction`` arithmetic on the float data read exactly, and each
+    piece's coefficients in the global variable ``t``, keyed by its
+    interval ``(lo, hi)``.  ``history`` and ``forcing`` (or ``None``) are
+    ``(knots, coefficient stacks, left value)`` triples."""
+    frac = np.vectorize(F, otypes=[object])
 
+    def exact(data):
+        knots, coeffs, left = data
+        return [F(b) for b in knots], [frac(c) for c in coeffs], frac(left)
 
-def _violation_lines(name, ppoly, sys, entries, forcing_value, margin):
-    """Violation demos and matching accepted-value confirmations for
-    every recomputed entry: the rejected polynomial must miss the
-    defining equation by at least ``margin`` at the segment midpoint,
-    where the accepted polynomial satisfies it."""
-    lines = []
-    notes = []
-    for entry in entries:
-        if entry.superseded is None:
-            continue
-        at = 0.5 * (entry.lo + entry.hi)
-        bad = rejected_entry_residual(ppoly, sys, entry, forcing_value, at)
-        good = rejected_entry_residual(
-            ppoly, sys, entry, forcing_value, at, coeffs=entry.coeffs
+    pieces = oracle._window_pieces(
+        frac(sys.a0), frac(sys.a1), F(sys.sigma), exact(history),
+        None if forcing is None else exact(forcing), _EX1_WINDOWS,
+    )
+    global_ = {}
+    for knots, coeffs in pieces:
+        starts = np.array([-a for a in knots[:-1]], dtype=object)
+        global_.update(
+            zip(zip(knots[:-1], knots[1:]), oracle._taylor_shift(coeffs, starts))
         )
-        lines.append(
-            CheckLine(
-                f"rejected {entry.label(name)} violates the defining equation "
-                f"at t={at:g}",
-                RECOMPUTED,
-                bad,
-                margin,
-                relation=">=",
-            )
-        )
-        lines.append(
-            CheckLine(
-                f"accepted {entry.label(name)} satisfies the defining equation "
-                f"at t={at:g}",
-                entry.provenance,
-                good,
-                1e-9,
-            )
-        )
-        notes.append(
-            f"{entry.label(name)}: hand-tabulated coefficients "
-            f"{list(entry.superseded)} fail the defining equation "
-            f"(residual {bad:.3g} at t={at:g}); replaced by the recomputed "
-            f"coefficients {list(entry.coeffs)} (residual {good:.3g})."
-        )
-    return lines, notes
+    return pieces, global_
 
 
-def run_example1(
-    samples_per_segment=50,
-    entry_tol=1e-9,
-    oracle_tol=1e-10,
-    violation_margin=0.1,
-    substeps=4096,
-):
+def _minus(p, q):
+    """``p - q`` for ascending coefficient tuples, trailing zeros dropped:
+    ``()`` when the polynomials are equal."""
+    n = max(len(p), len(q))
+    out = [(p[j] if j < len(p) else 0) - (q[j] if j < len(q) else 0) for j in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _poly(coeffs):
+    """Ascending coefficients as a polynomial in ``t``: ``2 - 3 t + 2 t^2``."""
+    terms = [
+        f"{c}" if j == 0 else f"{c} t" if j == 1 else f"{c} t^{j}"
+        for j, c in enumerate(coeffs)
+        if c
+    ]
+    return " + ".join(terms).replace("+ -", "- ") or "0"
+
+
+def _adjudication(name, entries, exact):
+    """One line per entry, stating that it equals the exact method of
+    steps, and one per rejected entry, proving it wrong by exact
+    inequality with the difference polynomial."""
+    lines, rejected = [], []
+    for e in entries:
+        got = tuple(c[e.row, e.col] for c in exact[e.lo, e.hi])
+        off = _minus(e.coeffs, got)
+        lines.append(CheckLine(
+            f"{e.label(name)} = {_poly(e.coeffs)}", e.provenance, not off,
+            f"off the exact method of steps by {_poly(off)}" if off
+            else "equals the exact method of steps",
+        ))
+        if e.superseded is not None:
+            off = _minus(e.superseded, got)
+            rejected.append(CheckLine(
+                f"rejected {e.label(name)} = {_poly(e.superseded)}", RECOMPUTED,
+                bool(off), f"differs from the exact method of steps by {_poly(off)}",
+            ))
+    return lines + rejected
+
+
+def run_example1():
     """Solve Example 1 and check it against the stored expectations.
 
-    Checks, in order: the fundamental solution entry by entry, the
-    solution entry by entry, history reproduction, agreement with the
-    exact method-of-steps integrator (per delay window, relative to
-    ``max(|oracle|, 1)``), and the adjudication demos for every
-    recomputed entry (rejected value violates the defining equation by
-    at least ``violation_margin``; accepted value satisfies it).
+    Every stored entry of ``Z`` and ``X`` is compared for exact equality
+    with the oracle's method of steps run in ``Fraction`` arithmetic, and
+    every rejected hand-tabulated entry is shown to differ from it.  The
+    float closed forms are then checked against the exact pieces rounded
+    once to float, on every window, ``[-1, 0]`` included, relative to
+    ``max(|oracle|, 1)`` per window.
     """
     sys = example1_system()
     history = example1_history()
     forcing = example1_forcing()
-    horizon = 3.0
-
-    z = build_fundamental_continuous(sys, horizon)
-    x = solve_continuous(sys, history, forcing, horizon)
-
-    lines = _entry_lines("Z", z, EXAMPLE1_Z_ENTRIES, samples_per_segment, entry_tol)
-    lines += _entry_lines("X", x, EXAMPLE1_X_ENTRIES, samples_per_segment, entry_tol)
-
-    ts = segment_samples(-1.0, 0.0, samples_per_segment)
-    hist_err = float(
-        np.max(np.abs(x.eval(ts) - history.ppoly.eval(ts)))
+    horizon = float(_EX1_WINDOWS)
+    identity = ([-1.0, 0.0], [np.eye(2)[None]], np.zeros((2, 2)))
+    runs = (
+        ("Z", EXAMPLE1_Z_ENTRIES, build_fundamental_continuous(sys, horizon),
+         identity, None),
+        ("X", EXAMPLE1_X_ENTRIES, solve_continuous(sys, history, forcing, horizon),
+         oracle._data(history.ppoly), oracle._data(forcing.ppoly)),
     )
-    lines.append(
-        CheckLine("X reproduces the history on [-1,0)", TABULATED, hist_err, entry_tol)
-    )
-
-    oracle = integrate_continuous(
-        sys, history, forcing, horizon, IntegratorConfig(substeps_per_delay=substeps)
-    )
-    closed = x.eval(oracle.times)
-    window = np.floor(oracle.times / sys.sigma + 1e-9)
-    oracle_err = max(
-        float(np.max(np.abs(closed[rows] - oracle.values[rows])))
-        / max(float(np.max(np.abs(oracle.values[rows]))), 1.0)
-        for rows in (window == k for k in np.unique(window))
-    )
-    lines.append(
-        CheckLine(
-            f"X agrees with the exact method-of-steps integrator "
-            f"({substeps} rows per delay, relative per window)",
-            RECOMPUTED,
-            oracle_err,
-            oracle_tol,
-        )
-    )
-
-    eye = np.eye(2)
-    zero = np.zeros((2, 2))
-    z_viol, z_notes = _violation_lines(
-        "Z", z, sys, EXAMPLE1_Z_ENTRIES, zero, violation_margin
-    )
-    x_viol, x_notes = _violation_lines(
-        "X", x, sys, EXAMPLE1_X_ENTRIES, eye, violation_margin
-    )
-    lines += z_viol + x_viol
+    lines, checks = [], []
+    for name, entries, closed, *data in runs:
+        pieces, exact = _exact_pieces(sys, *data)
+        lines += _adjudication(name, entries, exact)
+        rounded = [([float(b) for b in knots], c.astype(float)) for knots, c in pieces]
+        worst = max(rel for _, rel in oracle.window_gaps(rounded, closed, horizon))
+        checks.append(_within(
+            f"float {name} against the exact pieces rounded once "
+            f"(relative per window, [-1,0] included)",
+            RECOMPUTED, worst, _FLOAT_TOL,
+        ))
 
     return ExampleReport(
         title="Example 1 (continuous, sigma=1)",
-        lines=tuple(lines),
-        notes=tuple(z_notes + x_notes),
+        lines=tuple(lines + checks),
+        notes=(),
     )
 
 
-def run_example2(n_steps=6, tol=1e-9):
+def run_example2():
     """Solve Example 2 and check it against the stored expectations.
 
     Checks the discrete fundamental solution and the solution table
@@ -493,27 +442,20 @@ def run_example2(n_steps=6, tol=1e-9):
     notes = []
     for entry in EXAMPLE2_Z_TABLE:
         err = float(np.max(np.abs(fund.value(entry.u) - entry.matrix)))
-        lines.append(
-            CheckLine(f"Z({entry.u})", entry.provenance, err, tol)
-        )
+        lines.append(_within(f"Z({entry.u})", entry.provenance, err, _TABLE_TOL))
 
-    x = solve_discrete(sys, history, forcing, n_steps)
+    x = solve_discrete(sys, history, forcing, _EX2_STEPS)
     for entry in EXAMPLE2_X_TABLE:
         err = float(np.max(np.abs(x.at_time(entry.u) - entry.matrix)))
-        lines.append(
-            CheckLine(f"X({entry.u})", entry.provenance, err, tol)
-        )
+        lines.append(_within(f"X({entry.u})", entry.provenance, err, _TABLE_TOL))
 
-    oracle = step_discrete(sys, history, forcing, n_steps)
-    oracle_err = float(np.max(np.abs(x.values - oracle.values)))
-    lines.append(
-        CheckLine(
-            "X agrees with the stepping recursion for every index",
-            RECOMPUTED,
-            oracle_err,
-            tol,
-        )
-    )
+    stepped = oracle.step_discrete(sys, history, forcing, _EX2_STEPS)
+    lines.append(_within(
+        "X agrees with the stepping recursion for every index",
+        RECOMPUTED,
+        float(np.max(np.abs(x.values - stepped.values))),
+        _TABLE_TOL,
+    ))
 
     for name, table in (("Z", EXAMPLE2_Z_TABLE), ("X", EXAMPLE2_X_TABLE)):
         for entry in table:
@@ -533,10 +475,10 @@ def run_example2(n_steps=6, tol=1e-9):
     )
 
 
-def run_example(number, **kwargs):
+def run_example(number):
     """Dispatch ``run_example1`` / ``run_example2`` by number."""
     if number == 1:
-        return run_example1(**kwargs)
+        return run_example1()
     if number == 2:
-        return run_example2(**kwargs)
+        return run_example2()
     raise ValueError(f"no example {number}; choose 1 or 2")

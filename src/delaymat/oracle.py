@@ -24,12 +24,18 @@ piece.
 
 The piece arithmetic is written once over the coefficient dtype: it runs
 on floats, and unchanged on ``fractions.Fraction`` object arrays, which
-the tests use as exact ground truth.  The pieces are then sampled on a
-uniform grid aligned to the delay, in place into one output stack: each
-piece's rows are one product of their power table with the piece's
-coefficients.  From :mod:`delaymat.ppoly` the oracle reads only the
-data's ``breakpoints``, ``pieces[k].coeffs`` and ``left_value``; it
-re-expands, integrates and evaluates with its own loops.
+the tests and the worked example use as exact ground truth.
+
+A closed form is checked against the pieces themselves
+(:func:`window_gaps`): both are re-expanded on the common refinement of
+their knots, and the coefficient differences bound the gap on every
+interval, not only at sample rows.  For dense output
+(:func:`integrate_continuous`) the pieces are sampled on a uniform grid
+aligned to the delay, in place into one output stack: each piece's rows
+are one product of their power table with the piece's coefficients.
+From :mod:`delaymat.ppoly` the oracle reads only the ``breakpoints``,
+``pieces[k].coeffs`` and (of the data) ``left_value``; it re-expands,
+integrates and evaluates with its own loops.
 """
 
 from __future__ import annotations
@@ -43,14 +49,18 @@ import numpy as np
 
 from .system import TrajectoryTable, continuous_data, discrete_data
 
-__all__ = ["IntegratorConfig", "integrate_continuous", "step_discrete"]
+__all__ = [
+    "IntegratorConfig", "continuous_pieces", "integrate_continuous",
+    "step_discrete", "window_gaps",
+]
 
 log = logging.getLogger(__name__)
 
 #: Fewest output rows per delay window the integrator accepts.  The
-#: pieces are exact whatever the grid, but the closed form is compared
-#: with them only at the rows, and a coarser grid would sample each
-#: window's polynomials too sparsely to expose a wrong one.
+#: pieces are exact whatever the grid, but a closed form compared with
+#: the dense output is compared only at the rows, and a coarser grid
+#: would sample each window's polynomials too sparsely to expose a wrong
+#: one.
 MIN_SUBSTEPS = 16
 
 
@@ -225,32 +235,71 @@ def _sample(pieces, times, n, out):
             )
 
 
+def continuous_pieces(sys, history, forcing, horizon):
+    """The exact solution to ``horizon`` as one ``(knots, coeffs)`` pair
+    per window: ``[-sigma, 0]`` first, then every delay window up to the
+    first that reaches ``horizon`` (see :func:`_window_pieces`).
+
+    ``history`` must cover ``[-sigma, 0]`` and ``forcing`` (when given)
+    ``[0, horizon]``, or extend to the right
+    (:func:`~delaymat.system.continuous_data` decides).
+    """
+    psi, g = continuous_data(sys, history, forcing, horizon)
+    windows = max(1, math.ceil(float(horizon) / sys.sigma - 1e-12))
+    return _window_pieces(
+        sys.a0, sys.a1, sys.sigma, _data(psi), None if g is None else _data(g), windows
+    )
+
+
+def window_gaps(pieces, x, horizon):
+    """How far the piecewise polynomial ``x`` is from the oracle's
+    ``pieces``: one ``(absolute, relative)`` pair per window, the last
+    window cut at ``horizon``.
+
+    Each window is split at the oracle's knots and at ``x.breakpoints``;
+    on every sub-interval ``[a, b]`` both sides are re-expanded at ``a``,
+    and the entrywise maximum of ``sum_j |dc_j| (b - a)**j`` over the
+    coefficient differences ``dc`` bounds ``|x - oracle|`` on the whole
+    interval, not only at sample rows.  The relative gap divides by
+    ``max(|oracle|, 1)`` with ``|oracle|`` taken at every sub-interval
+    end: a lower bound of the window's maximum, so the relative gap can
+    only read high.  Of ``x`` only ``breakpoints`` and
+    ``pieces[k].coeffs`` are read.
+    """
+    closed = (x.breakpoints.tolist(), [p.coeffs for p in x.pieces], None)
+    gaps = []
+    for knots, coeffs in pieces:
+        cuts = _merge(knots[1:-1] + closed[0], knots[0], min(knots[-1], horizon))
+        ref = _recut((knots, coeffs, None), cuts)
+        got = _recut(closed, cuts)
+        n = max(ref.shape[1], got.shape[1])
+        diff = np.zeros((len(cuts) - 1, n) + ref.shape[2:])
+        diff[:, : ref.shape[1]] = ref
+        diff[:, : got.shape[1]] -= got
+        widths = np.diff(cuts)[:, None, None]
+        gap = float(np.max(_horner(np.abs(diff).swapaxes(0, 1), widths)))
+        ends = np.abs([ref[:, 0], _horner(ref.swapaxes(0, 1), widths)])
+        gaps.append((gap, gap / max(float(np.max(ends)), 1.0)))
+    return gaps
+
+
 def integrate_continuous(sys, history, forcing, horizon, config=None):
     """Integrate the continuous equation exactly to ``horizon`` and return
     dense output on ``[-sigma, horizon]`` (uniform grid,
     ``substeps_per_delay`` rows per window).
 
-    ``history`` must cover ``[-sigma, 0]`` and ``forcing`` (when given)
-    ``[0, horizon]``, or extend to the right
-    (:func:`~delaymat.system.continuous_data` decides).  The solution is
-    built piece by piece by the method of steps (see the module
-    docstring), so the only errors are those of float arithmetic on the
-    pieces, and knots or forcing jumps anywhere, on grid nodes or between
-    them, cost no accuracy.
+    The solution is :func:`continuous_pieces`, built piece by piece by
+    the method of steps (see the module docstring), so the only errors
+    are those of float arithmetic on the pieces, and knots or forcing
+    jumps anywhere, on grid nodes or between them, cost no accuracy.
     """
-    psi, g = continuous_data(sys, history, forcing, horizon)
-    horizon = float(horizon)
-    config = config or IntegratorConfig()
+    pieces = continuous_pieces(sys, history, forcing, horizon)
     sigma = sys.sigma
-    n = config.substeps_per_delay
-    windows = max(1, math.ceil(horizon / sigma - 1e-12))
-    grid = -sigma + (sigma / n) * np.arange((windows + 1) * n + 1)
+    n = (config or IntegratorConfig()).substeps_per_delay
+    grid = -sigma + (sigma / n) * np.arange(len(pieces) * n + 1)
     # the kept rows are a prefix of the increasing grid
-    stop = int(np.searchsorted(grid, horizon + 1e-9 * sigma, side="right"))
-    log.debug("oracle method of steps: windows=%d rows=%d", windows, stop)
-    pieces = _window_pieces(
-        sys.a0, sys.a1, sigma, _data(psi), None if g is None else _data(g), windows
-    )
+    stop = int(np.searchsorted(grid, float(horizon) + 1e-9 * sigma, side="right"))
+    log.debug("oracle method of steps: windows=%d rows=%d", len(pieces) - 1, stop)
     values = np.empty((stop, sys.dim, sys.dim))
     _sample(pieces, grid[:stop], n, values)
     return TrajectoryTable(kind="continuous", times=grid[:stop], values=values)

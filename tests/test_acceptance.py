@@ -60,6 +60,14 @@ def window_gap(closed, ref, times, width):
     return max(rel for _, rel in gaps)
 
 
+def entry_samples(entry, n):
+    """``n`` midpoint samples inside a stored entry's segment (knots carry
+    the half-open convention, so the samples keep away from them) and
+    the entry's polynomial there, evaluated in floats."""
+    ts = entry.lo + (entry.hi - entry.lo) * (np.arange(n) + 0.5) / n
+    return ts, np.polynomial.polynomial.polyval(ts, [float(c) for c in entry.coeffs])
+
+
 def off_knot_samples(lo, hi, knots, n=97, margin=1e-3):
     ts = np.linspace(lo, hi, n)
     keep = np.min(np.abs(ts[:, None] - np.asarray(knots)[None, :]), axis=1) > margin
@@ -82,8 +90,8 @@ def test_criterion_1_continuous_example_segment_displays():
     for entry in fixtures.EXAMPLE1_X_ENTRIES:
         if (entry.row, entry.col) == (0, 1) and entry.hi > 1.0:
             continue  # the contested column tail is criterion 2's job
-        ts = fixtures.segment_samples(entry.lo, entry.hi, 50)
-        err = window_gap(x.eval(ts)[:, entry.row, entry.col], entry.eval(ts), ts, 1.0)
+        ts, want = entry_samples(entry, 50)
+        err = window_gap(x.eval(ts)[:, entry.row, entry.col], want, ts, 1.0)
         assert err <= 1e-9, f"{entry.label('X')}: {err:.3e}"
         worst = max(worst, err)
         checked += 1
@@ -99,10 +107,8 @@ def test_criterion_1_continuous_example_segment_displays():
 def test_criterion_2_contested_column_against_the_integrator():
     """The adjudicated (1,2) entry on [1, 3) agrees with the exact
     integrator at 4096 rows per delay within 1e-10 (relative window gap),
-    and the
-    rejected
-    hand-tabulated display misses the defining equation by at least 0.1
-    where the accepted one satisfies it."""
+    and the rejected hand-tabulated display misses the defining equation
+    by at least 0.1 where the accepted one satisfies it exactly."""
     sys_ = fixtures.example1_system()
     hist = fixtures.example1_history()
     force = fixtures.example1_forcing()
@@ -115,26 +121,32 @@ def test_criterion_2_contested_column_against_the_integrator():
     diff = window_gap(x.eval(ts)[:, 0, 1], oracle.values[mask][:, 0, 1], ts, 1.0)
     assert diff <= 1e-10, f"(1,2) on [1,3) vs integrator: {diff:.3e}"
 
-    # adjudication demo on the fundamental solution's contested entry
-    z = build_fundamental_continuous(sys_, 3.0)
+    # adjudication of the fundamental solution's contested entry, in exact
+    # arithmetic: the residual of Z' = A0 Z(t-1) + Z(t-1) A1 at t = 3/2 for
+    # each candidate, with Z(1/2) from the stored entries on [0, 1)
     entry = next(
-        e
-        for e in fixtures.EXAMPLE1_Z_ENTRIES
-        if (e.row, e.col, e.lo) == (0, 1, 1.0)
+        e for e in fixtures.EXAMPLE1_Z_ENTRIES if (e.row, e.col, e.lo) == (0, 1, 1)
     )
     assert entry.provenance == fixtures.RECOMPUTED
-    rejected = fixtures.rejected_entry_residual(
-        z, sys_, entry, forcing_value=np.zeros((2, 2)), at=1.5
-    )
-    accepted = fixtures.rejected_entry_residual(
-        z, sys_, entry, forcing_value=np.zeros((2, 2)), at=1.5, coeffs=entry.coeffs
-    )
-    assert rejected >= 0.1, f"rejected display residual only {rejected:.3e}"
-    assert accepted <= 1e-9, f"accepted display residual {accepted:.3e}"
+    at = Fraction(3, 2)
+    delayed = np.empty((2, 2), dtype=object)
+    for e in fixtures.EXAMPLE1_Z_ENTRIES:
+        if e.lo == 0:
+            value = sum(c * (at - 1) ** j for j, c in enumerate(e.coeffs))
+            delayed[e.row, e.col] = value
+    frac = np.vectorize(Fraction, otypes=[object])
+    rhs = (frac(sys_.a0) @ delayed + delayed @ frac(sys_.a1))[0, 1]
+
+    def residual(coeffs):
+        return abs(sum(j * c * at ** (j - 1) for j, c in enumerate(coeffs) if j) - rhs)
+
+    rejected, accepted = residual(entry.superseded), residual(entry.coeffs)
+    assert rejected >= Fraction(1, 10), f"rejected display residual only {rejected}"
+    assert accepted == 0, f"accepted display residual {accepted}"
     report(
         f"criterion 2: PASS - contested column within {diff:.2e} of the "
-        f"integrator; rejected display off by {rejected:.2f}, accepted by "
-        f"{accepted:.1e}"
+        f"integrator; rejected display off by {rejected}, accepted by "
+        f"{accepted}"
     )
 
 

@@ -516,10 +516,13 @@ class TestVerifyCommand:
         sys_path, hist_path, force_path = ex1_files
         code, out, _ = run_cli(
             capsys, "verify", "--system", sys_path, "--history", hist_path,
-            "--forcing", force_path, "--to", "3", "--substeps", "512",
+            "--forcing", force_path, "--to", "3",
         )
         assert code == 0
-        assert out.count("window") == 3
+        # the history window [-1, 0] and the three delay windows
+        assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
+            "window [-1, 0]", "window [0, 1]", "window [1, 2]", "window [2, 3]"
+        ]
         assert "-> OK" in out
 
     def test_seeded_random_discrete(self, capsys):
@@ -531,10 +534,18 @@ class TestVerifyCommand:
 
     def test_seeded_random_continuous(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "--random", "--seed", "1", "--substeps", "512",
+            capsys, "verify", "--random", "--seed", "1",
         )
         assert code == 0
         assert "-> OK" in out
+
+    def test_substeps_is_refused(self, capsys):
+        # the continuous check compares pieces, so there is no sampling
+        # grid to set
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--random", "--substeps", "512"])
+        assert exc.value.code == 2
+        assert "--substeps" in capsys.readouterr().err
 
     def test_impossible_tolerance_fails_with_exit_one(self, capsys):
         code, out, _ = run_cli(
@@ -564,6 +575,57 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: --to: --to must be positive and finite"]
+
+
+def assert_flag_error(code, out, err, flag):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: "), err
+
+
+class TestFlagsThatDoNotFit:
+    """Every float flag must be finite, and all but ``--from`` positive;
+    ``verify --d`` must be at least 1.  Each is refused with exit 2 and
+    one ``error:`` line before any file is read or data drawn."""
+
+    BAD = [("--to", "inf"), ("--to", "nan"), ("--to", "-1"), ("--step", "nan"),
+           ("--step", "inf"), ("--step", "0"), ("--from", "inf"), ("--from", "nan")]
+
+    @pytest.mark.parametrize("flag", BAD, ids="=".join)
+    @pytest.mark.parametrize("kind", ["cont", "disc"])
+    def test_fundamental(self, capsys, ex1_files, ex2_files, kind, flag):
+        files = ex1_files if kind == "cont" else ex2_files
+        argv = {"--to": "2", "--step": "0.5" if kind == "cont" else "1"}
+        argv[flag[0]] = flag[1]
+        code, out, err = run_cli(
+            capsys, "fundamental", "--system", files[0], "--kind", kind,
+            *[item for pair in argv.items() for item in pair],
+        )
+        assert_flag_error(code, out, err, flag[0])
+
+    @pytest.mark.parametrize("flag", [f for f in BAD if f[0] != "--from"], ids="=".join)
+    @pytest.mark.parametrize("kind", ["cont", "disc"])
+    def test_solve(self, capsys, ex1_files, ex2_files, kind, flag):
+        files = ex1_files if kind == "cont" else ex2_files
+        argv = {"--to": "2", "--step": "0.5"}
+        argv[flag[0]] = flag[1]
+        code, out, err = run_cli(
+            capsys, "solve", "--system", files[0], "--history", files[1],
+            *[item for pair in argv.items() for item in pair],
+        )
+        assert_flag_error(code, out, err, flag[0])
+
+    @pytest.mark.parametrize(
+        "flag",
+        [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
+         ("--tol", "inf"), ("--d", "0"), ("--d", "-2")],
+        ids="=".join,
+    )
+    @pytest.mark.parametrize("kind", ["cont", "disc"])
+    def test_verify(self, capsys, kind, flag):
+        code, out, err = run_cli(capsys, "verify", "--random", "--kind", kind, *flag)
+        assert_flag_error(code, out, err, flag[0])
 
 
 class TestDataThatDoesNotFit:
@@ -664,6 +726,10 @@ class TestExampleCommand:
         assert code == 0
         assert "PASS" in out
         assert "FAIL" not in out
+        # every stored entry equals the exact method of steps, and every
+        # rejected one differs from it
+        assert out.count("equals the exact method of steps") == 32
+        assert out.count("differs from the exact method of steps by") == 6
 
     def test_second_example_report(self, capsys):
         code, out, _ = run_cli(capsys, "example", "2")

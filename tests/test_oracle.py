@@ -1,12 +1,13 @@
 """Brute-force reference integrators: worked-example agreement, the
 exact method of steps against its own ``Fraction`` run and against a
-literal one-interval-at-a-time reference, grid independence, the import
-set that keeps the oracle independent, and the literal discrete
-recursion."""
+literal one-interval-at-a-time reference, grid independence, the piece
+comparison against dense samples, the import set that keeps the oracle
+independent, and the literal discrete recursion."""
 
 from __future__ import annotations
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from delaymat import (
     ForcingSpec,
     HistorySpec,
     IntegratorConfig,
+    cli,
     fixtures,
     integrate_continuous,
     oracle,
@@ -532,6 +534,117 @@ class TestSampling:
         out = np.empty((grid.size, 2, 2)).transpose(0, 2, 1)
         with pytest.raises(ValueError, match="C-contiguous"):
             oracle._sample(pieces, grid, 16, out)
+
+
+def verify_problem(d, seed, windows=5.0):
+    """The continuous problem ``delaymat verify --random --d d --seed
+    seed`` draws (its default horizon is five windows): a history of
+    three cubic pieces that jump, and a forcing with random knots."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, d, "continuous", entry_scale=1.0 / d)
+    horizon = windows * sys.sigma
+    return (sys, *random_matrix_data(rng, sys, horizon), horizon)
+
+
+def perturbed(x, piece, sizes, split=None):
+    """``x`` with ``sizes[j]`` added to entry (0, 1) of coefficient ``j``
+    of piece ``piece``; with ``split``, that piece is first cut at the
+    local time ``split`` and only its left part changed."""
+    bks = list(x.breakpoints)
+    polys = list(x.pieces)
+    if split is not None:
+        bks.insert(piece + 1, bks[piece] + split)
+        polys.insert(piece + 1, polys[piece].shift(split))
+    c = polys[piece].coeffs
+    c = np.concatenate([c, np.zeros((max(len(sizes) - len(c), 0),) + c.shape[1:])])
+    c[: len(sizes), 0, 1] += sizes
+    polys[piece] = MatrixPolynomial(c)
+    return PiecewiseMatrixPolynomial(bks, polys, x.left_value, x.right_extension)
+
+
+def widest_piece(x, horizon):
+    """The index of the widest piece of ``x`` inside ``[0, horizon]``."""
+    widths = np.diff(np.minimum(x.breakpoints, horizon))
+    widths[x.breakpoints[:-1] < 0] = 0.0
+    return int(np.argmax(widths))
+
+
+class TestWindowGaps:
+    """``window_gaps`` bounds the gap between a closed form and the
+    oracle's pieces on every window, the history window included."""
+
+    @pytest.mark.parametrize("change", [None, "c0", "c1", "c3", "bump", "split"])
+    @pytest.mark.parametrize(
+        "d, seed, windows", [(2, 0, 5.0), (2, 1, 3.7), (8, 1, 5.0), (8, 2, 2.5),
+                             (32, 1, 5.0), (32, 2, 3.0)],
+    )
+    def test_bound_is_never_below_the_sampled_gap(self, d, seed, windows, change):
+        # the dense sampled gap |x.eval - integrate_continuous| per row is
+        # at most the window's bound, less the rounding of both
+        # evaluations, (k + 1) eps sum_j |c_j| |tau|**j for k coefficients
+        sys, history, forcing, horizon = verify_problem(d, seed, windows)
+        assert history.ppoly.knot_jumps().max() > 1e-3
+        x = solve_continuous(sys, history, forcing, horizon)
+        if change is not None:
+            k = widest_piece(x, horizon)
+            w = x.breakpoints[k + 1] - x.breakpoints[k]
+            size = 1e-8 * max_abs(x.pieces[k].coeffs)
+            sizes, split = {
+                "c0": ([size], None),
+                "c1": ([0, size], None),
+                "c3": ([0, 0, 0, size], None),
+                # zero at both ends of the piece
+                "bump": ([0, size, -size / w], None),
+                # on a new breakpoint, which the oracle's knots lack
+                "split": ([size], w / 3),
+            }[change]
+            x = perturbed(x, k, sizes, split)
+        pieces = oracle.continuous_pieces(sys, history, forcing, horizon)
+        gaps = oracle.window_gaps(pieces, x, horizon)
+        assert len(gaps) == len(pieces) == math.ceil(windows) + 1
+
+        n = 64
+        ref = integrate_continuous(sys, history, forcing, horizon, IntegratorConfig(n))
+        sampled = np.abs(x.eval(ref.times) - ref.values)
+        sizes = np.empty_like(ref.values)
+        oracle._sample([(b, np.abs(c)) for b, c in pieces], ref.times, n, sizes)
+        abs_x = PiecewiseMatrixPolynomial(
+            x.breakpoints, [MatrixPolynomial(np.abs(p.coeffs)) for p in x.pieces]
+        )
+        sizes += abs_x.eval(ref.times)
+        k = max(c.shape[1] for _, c in pieces) + max(len(p.coeffs) for p in x.pieces)
+        for w, (bound, _) in enumerate(gaps):
+            rows = slice(w * n, (w + 1) * n + (w == len(gaps) - 1))
+            excess = sampled[rows] - (k + 1) * EPS * sizes[rows]
+            assert excess.max() <= bound, (w, excess.max(), bound)
+        if change is not None:
+            # the perturbed window's bound is seen by the samples too
+            w = max(range(len(gaps)), key=lambda w: gaps[w][0])
+            rows = slice(w * n, (w + 1) * n + 1)
+            assert sampled[rows].max() >= 0.05 * gaps[w][0]
+
+    @pytest.mark.parametrize("power", [0, 1, 3])
+    def test_a_perturbed_piece_fails(self, capsys, monkeypatch, power):
+        # 1e-8 max|c| added to one entry of one coefficient of one piece
+        # puts exactly that piece's window past the 1e-10 tolerance
+        sys, history, forcing, horizon = verify_problem(8, 1)
+        x = solve_continuous(sys, history, forcing, horizon)
+        k = widest_piece(x, horizon)
+        size = 1e-8 * max_abs(x.pieces[k].coeffs)
+        pieces = oracle.continuous_pieces(sys, history, forcing, horizon)
+        change = [0] * power + [size]
+        gaps = oracle.window_gaps(pieces, perturbed(x, k, change), horizon)
+        inside = [knots[0] <= x.breakpoints[k] < knots[-1] for knots, _ in pieces]
+        assert [rel > 1e-10 for _, rel in gaps] == inside
+        assert max(rel for _, rel in oracle.window_gaps(pieces, x, horizon)) < 1e-14
+
+        solve = cli.solve_continuous
+        monkeypatch.setattr(
+            cli, "solve_continuous",
+            lambda *args: perturbed(solve(*args), k, change),
+        )
+        assert cli.main(["verify", "--random", "--d", "8", "--seed", "1"]) == 1
+        assert "-> FAIL" in capsys.readouterr().out
 
 
 class TestOracleIndependence:
