@@ -493,7 +493,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that went away shows here
+        return code
+    except BrokenPipeError:
+        # stdout is a pipe whose reader has exited (``delaymat ... | head``):
+        # point it at /dev/null, so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,15 @@ Z(u - m) A1`` with ``Z = 0`` for ``u <= -m - 1`` and ``Z = I`` for
     Z(u) = sum_{r=0}^{n} C(u - (r - 1) m, r) q[r],   n = ceil(u / (m+1)).
 
 The binomial is a repeated sum, so :meth:`DiscreteFundamental.table` is
-the case ``Theta_0 = I`` of :func:`discrete_kernel`, which evaluates
-``sum_r Theta_r(u - r (m + 1))`` with ``Theta_{r+1}`` the cumulative sum
-of ``L(Theta_r)``, for the fundamental solution and the data alike.
+the case ``Theta_0 = I`` (history ``I``, no forcing) of
+:func:`discrete_kernel`, which evaluates ``sum_r Theta_r(u - r (m + 1))``
+with ``Theta_{r+1}`` the cumulative sum of ``L(Theta_r)``, for the
+fundamental solution and the data alike.  Summed from ``0``, row ``u``
+would take ``u / (m + 1)`` terms, whose sizes can exceed the row's by
+many orders when they cancel.  The equation is shift-invariant, so the
+kernel restarts the sum every :data:`BLOCK_WINDOWS` delay windows from
+the last ``m + 1`` rows it has computed: every row takes at most that
+many terms, and a table of ``N`` rows costs ``O(N d**3)``.
 """
 
 from __future__ import annotations
@@ -55,6 +61,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+#: Delay windows per block of :func:`discrete_kernel`: a row adds at most
+#: this many terms of the repeated sum.
+BLOCK_WINDOWS = 4
 
 
 def delay_windows(horizon, sigma):
@@ -129,10 +139,13 @@ class DiscreteFundamental:
         if hi >= -m:
             # each row sums its terms in the same order whatever the
             # range, so table and value agree bit for bit
-            identity = np.broadcast_to(np.eye(d), (hi + m + 1, d, d))
-            z = discrete_kernel(self.system.a0, self.system.a1, identity, m, name="Z")
+            identity = np.eye(d)[None].repeat(m + 1, axis=0)
+            no_forcing = np.zeros((max(hi, 0), d, d))
+            z = discrete_kernel(
+                self.system.a0, self.system.a1, identity, no_forcing, m, name="Z"
+            )
             first = max(lo, -m)
-            out[first - lo :] = z[first + m :]
+            out[first - lo :] = z[first + m : hi + m + 1]
         return out
 
     def value(self, u):
@@ -146,31 +159,47 @@ class DiscreteFundamental:
         return hit
 
 
-def discrete_kernel(a0, a1, phi0, m, name="X"):
-    """``X(u) = sum_r Theta_r(u - r (m + 1))`` for ``u = -m .. -m + L - 1``.
+def discrete_kernel(a0, a1, hist, g, m, name="X"):
+    """``X(u)`` for ``u = -m .. N`` as an ``(N + m + 1, d, d)`` stack.
 
-    ``phi0`` is the ``(L, d, d)`` stack ``Theta_0(-m) .. Theta_0(-m + L -
-    1)``, ``Theta_r`` is zero below ``-m`` and ``Theta_{r+1}`` is the
-    inclusive cumulative sum of ``L(Theta_r)``, ``L(M) = A0 M + M A1``.
-    Term ``r`` needs ``Theta_r`` only on the first ``L - r (m + 1)`` rows,
-    and every row adds its terms in order of ``r``.  Raises
+    ``hist`` holds ``X(-m) .. X(0)`` and ``g`` the forcing ``G(0) ..
+    G(N - 1)``.  The rows after ``0`` are the repeated sum ``sum_r
+    Theta_r(u - r (m + 1))`` restarted every ``BLOCK_WINDOWS`` delay
+    windows: a block that starts at ``T0`` takes ``Theta_0`` to be the
+    rows ``T0 - m .. T0`` already computed, then ``X(T0) + G(T0) + .. +
+    G(u - 1)``, and ``Theta_{r+1}`` the inclusive cumulative sum of
+    ``L(Theta_r)``, ``L(M) = A0 M + M A1``.  The equation is
+    shift-invariant, so in exact arithmetic every block gives the rows
+    of the sum started at ``0``; in floats a row adds at most
+    ``BLOCK_WINDOWS`` terms, in order of ``r``, so the cost is linear in
+    ``N`` and no block runs long enough to cancel.  Blocks start at
+    fixed rows, so a row has the same bits whatever ``N``.  Raises
     :class:`~delaymat.errors.DegreeCapExceeded` naming the first row
     (``name(u)``) that leaves the float range.
     """
-    rows, d = phi0.shape[0], phi0.shape[1]
-    # (d, d, rows) layout: A0 Theta is one (d, d) @ (d, d * n) product,
-    # Theta A1 one batch of d products, and each cumulative sum runs along
-    # the contiguous last axis
-    theta = np.transpose(phi0, (1, 2, 0)).copy()
-    out = theta.copy()
+    steps, d, w = g.shape[0], a0.shape[0], m + 1
+    # (d, d, rows) layout, column j holding u = j - m: A0 Theta is one
+    # (d, d) @ (d, d * n) product, Theta A1 one batch of d products, and
+    # each cumulative sum runs along the contiguous last axis
+    out = np.empty((d, d, steps + w))
+    out[:, :, :w] = np.transpose(hist, (1, 2, 0))
+    out[:, :, w:] = np.transpose(g, (1, 2, 0))
+    a1t = a1.T
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(1, -(-rows // (m + 1))):
-            n = rows - r * (m + 1)
-            theta = theta[:, :, :n]
-            image = (a0 @ theta.reshape(d, d * n)).reshape(d, d, n)
-            image += np.matmul(a1.T, theta)
-            theta = np.cumsum(image, axis=2)
-            out[:, :, r * (m + 1) :] += theta
+        for t0 in range(0, steps, BLOCK_WINDOWS * w):
+            rows = min(BLOCK_WINDOWS * w, steps - t0) + w
+            # the block's row k is column t0 + k; Theta_0 from X(T0) on is
+            # the forcing columns summed in place
+            new = out[:, :, t0 + m : t0 + rows]
+            np.add.accumulate(new, axis=2, out=new)
+            theta = out[:, :, t0 : t0 + rows]
+            for r in range(1, (rows - 1) // w + 1):
+                n = rows - r * w
+                theta = theta[:, :, :n]
+                image = (a0 @ theta.reshape(d, d * n)).reshape(d, d, n)
+                image += np.matmul(a1t, theta)
+                theta = np.add.accumulate(image, axis=2, out=image)
+                out[:, :, t0 + r * w : t0 + rows] += theta
     finite = np.isfinite(out).all(axis=(0, 1))
     if not finite.all():
         u = int(np.argmin(finite)) - m

@@ -25,9 +25,12 @@ The discrete solution for ``u = -m .. N`` is, in the same way,
 where ``Theta_0`` is ``Psi`` on ``-m .. 0``, ``Psi(0) + G(0) + .. + G(u -
 1)`` for ``u >= 1`` and zero below ``-m``, and ``Theta_{r+1}`` is the
 cumulative sum of ``L(Theta_r)`` (the discrete analogue of Diblík and
-Khusainov, 2006).  :func:`solve_discrete` hands ``Theta_0`` to
-:func:`~delaymat.fundamental.discrete_kernel`: ``(N + m) // (m + 1) + 1``
-cumulative sums, and no binomial coefficients.
+Khusainov, 2006).  :func:`solve_discrete` hands the history and the
+forcing to :func:`~delaymat.fundamental.discrete_kernel`, which restarts
+the sum every few delay windows, with the last ``m + 1`` rows it has
+computed as the history and the forcing from there on: the same rows in
+exact arithmetic, at most a few terms per row, no cancellation across
+a long horizon, and no binomial coefficients.
 
 When ``A1`` commutes with every history and forcing value, ``L^r`` acts
 on the data as ``q[r] = L^r(I)`` from the left, ``Theta_r = q[r]
@@ -199,13 +202,13 @@ def solve_continuous(sys, history, forcing, horizon):
 
 def solve_discrete(sys, history, forcing, n_steps):
     """Exact solution of the discrete initial value problem for
-    ``u = -m .. n_steps`` via the repeated sum."""
+    ``u = -m .. n_steps`` via the repeated sum, restarted every
+    :data:`~delaymat.fundamental.BLOCK_WINDOWS` delay windows: about
+    ``(BLOCK_WINDOWS + 1) / 2`` applications of ``L`` per row, so the cost
+    is linear in ``n_steps``."""
     hist, g = discrete_data(sys, history, forcing, n_steps)
     n_steps, m, d = g.shape[0], sys.m, sys.dim
-    # Theta_0: the history on -m .. 0, then Psi(0) + G(0) + .. + G(u - 1)
-    running = np.cumsum(np.concatenate([hist[-1:], g]), axis=0)
-    theta0 = np.concatenate([hist[:-1], running])
-    out = discrete_kernel(sys.a0, sys.a1, theta0, m)
+    out = discrete_kernel(sys.a0, sys.a1, hist, g, m)
     times = np.arange(-m, n_steps + 1, dtype=float)
     log.info("solve(discrete): d=%d m=%d steps=%d", d, m, n_steps)
     return TrajectoryTable(kind="discrete", times=times, values=out)

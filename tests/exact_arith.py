@@ -56,3 +56,32 @@ def repeated_sum(a0, a1, theta0, m):
             total[r * (m + 1) :] += term * (1 << ((depth - r) * ka))
     k = kp + depth * ka
     return rounded(value, k), rounded(terms, k)
+
+
+def solution_sum(a0, a1, hist, g, m):
+    """:func:`repeated_sum` of a discrete problem's ``Theta_0``: the
+    history rows ``u = -m .. 0``, then ``Psi(0) + G(0) + .. + G(u - 1)``,
+    built exactly from the float ``hist`` and ``g``."""
+    data, k = exact(np.concatenate([hist, g]))
+    theta0 = np.concatenate([data[:m], np.cumsum(data[m:], axis=0)])
+    return repeated_sum(a0, a1, (theta0, k), m)
+
+
+def stepper(a0, a1, hist, g, m):
+    """The defining recursion ``X(u + 1) = X(u) + A0 X(u - m) + X(u - m)
+    A1 + G(u)`` in exact arithmetic on the float coefficients and data,
+    each row rounded once.  Row ``u`` is held over its own ``2**k``, which
+    grows by the coefficients' exponent once per delay window."""
+    coef, ka = exact(np.stack([a0, a1]))
+    data, k = exact(np.concatenate([hist, g]))
+    rows = [(x, k) for x in data[: m + 1]]
+    for gu in data[m + 1 :]:
+        (last, kl), (delayed, kd) = rows[-1], rows[-1 - m]
+        top = max(kl, kd + ka)
+        image = np.matmul(coef[0], delayed) + np.matmul(delayed, coef[1])
+        rows.append((
+            last * (1 << (top - kl)) + image * (1 << (top - kd - ka))
+            + gu * (1 << (top - k)),
+            top,
+        ))
+    return np.array([rounded(x, kx) for x, kx in rows])

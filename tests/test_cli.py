@@ -470,6 +470,24 @@ class TestOutputsAndManifest:
         assert run.stderr == "error: the coefficients on [1, 2) leave the float range\n"
         assert run.stdout == ""
 
+    def test_a_reader_that_goes_away_ends_the_run_quietly(self, tmp_path):
+        """stdout on a pipe that is closed after the first line, with far
+        more than a pipe's 64 KB still to write: exit 1, no traceback."""
+        argv = scalar_files(tmp_path, 0.5, 1.0)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "delaymat", *argv, "--to", "4", "--step", "1e-4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+        )
+        # unbuffered, so exactly one line is taken from the pipe
+        assert proc.stdout.readline() == b"t,x11\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_refused_output_leaves_no_file(self, capsys, tmp_path, fmt):
         argv = scalar_files(tmp_path / "in", 1.0, 1e308)
@@ -531,6 +549,17 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "-> OK" in out
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_random_discrete_over_120_steps(self, capsys, seed):
+        # the sum started at 0 cancelled on seeds 2, 3 and 5 (relative
+        # gaps of 1e-6, 1e-8 and 6e3); the restarted sum keeps every seed
+        # near rounding
+        code, out, _ = run_cli(
+            capsys, "verify", "--random", "--kind", "disc", "--to", "120",
+            "--seed", str(seed),
+        )
+        assert code == 0, out.splitlines()[-1]
 
     def test_seeded_random_continuous(self, capsys):
         code, out, _ = run_cli(

@@ -291,6 +291,27 @@ class TestDiscreteValues:
         with pytest.raises(DegreeCapExceeded, match=rf"u = {first} with delay m = 1"):
             fund.table(-2, first + 100)
 
+    def test_a_cancelling_sum_keeps_its_digits(self):
+        # Z(u) of this scalar system decays far faster than the terms of
+        # the sum started at 0, so that sum cancels (it had no correct
+        # digit left by u = 100); the restarted sum holds every window to
+        # the exact recursion of the same floats
+        a0, a1, m = -0.1032, -0.1382, 2
+        sys = DelaySystem(
+            a0=np.array([[a0]]), a1=np.array([[a1]]), delay=m, kind="discrete"
+        )
+        z = DiscreteFundamental(sys).table(1, 600)[:, 0, 0]
+        c = Fraction(a0) + Fraction(a1)
+        exact = [Fraction(1)] * (m + 1)
+        for _ in range(600):
+            exact.append(exact[-1] + c * exact[-1 - m])
+        exact = exact[m + 1 :]
+        for a in range(0, 600, m + 1):
+            window = range(a, min(a + m + 1, 600))
+            gap = max(abs(Fraction(z[k]) - exact[k]) for k in window)
+            size = max(abs(exact[k]) for k in window)
+            assert gap <= Fraction(1, 10**12) * size, f"u = {a + 1}"
+
     @pytest.mark.parametrize("m, top", [(1, 1481), (2, 1400), (3, 1400)])
     def test_float_binomials_keep_the_precision_of_exact_ones(self, m, top):
         # Z(u) = sum_r C(u - (r - 1) m, r) a**r I with a the float 0.1, up

@@ -24,15 +24,17 @@ from delaymat import (
     validate_hypotheses,
 )
 from delaymat.errors import DegreeCapExceeded
+from delaymat.fundamental import BLOCK_WINDOWS
 from delaymat.generators import (
     random_discrete_scalar_data,
+    random_matrix_data,
     random_scalar_forcing,
     random_scalar_history,
     random_system,
 )
 from delaymat.linalg import max_abs
 from delaymat.ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
-from exact_arith import exact, repeated_sum
+from exact_arith import solution_sum, stepper
 
 
 def zero_history(d, sigma):
@@ -346,28 +348,13 @@ class TestDiscreteStructure:
         assert (u <= first) if forced else (u == first)
 
 
-def exact_stepper(sys, hist, g, n_steps):
-    """The defining recursion ``X(u + 1) = X(u) + A0 X(u - m) + X(u - m)
-    A1 + G(u)`` in exact integer arithmetic (integer data only)."""
-    m = sys.m
-    a0, a1 = (np.asarray(a, dtype=int).astype(object) for a in (sys.a0, sys.a1))
-    x = list(np.asarray(hist, dtype=int).astype(object))
-    for u in range(n_steps):
-        x.append(x[-1] + a0 @ x[-1 - m] + x[-1 - m] @ a1 + g[u].astype(int))
-    return np.array(x, dtype=float)
-
-
 def exact_double_loop(sys, hist, g):
     """``sum_r Theta_r(u - r (m + 1))`` over ``r`` and ``u`` in exact
     arithmetic on the float coefficients and data, rounded once, and each
     row's scale: the largest entry of the same sum run on ``|A0|``,
     ``|A1|`` and ``|Theta_0|``.  ``Theta_0`` is the history, then
     ``Psi(0) + G(0) + .. + G(u - 1)``."""
-    data, k = exact(np.concatenate([hist, g]))
-    m = sys.m
-    running = np.cumsum(data[m:], axis=0)
-    theta0 = np.concatenate([data[:m], running])
-    want, terms = repeated_sum(sys.a0, sys.a1, (theta0, k), m)
+    want, terms = solution_sum(sys.a0, sys.a1, hist, g, sys.m)
     return want, terms.max(axis=(1, 2))
 
 
@@ -420,14 +407,34 @@ class TestDiscreteConvolution:
                 delay=m,
                 kind="discrete",
             )
-            for n_steps in (0, 1, m, m + 1, 16):
+            # past three blocks of the kernel's restarted sum
+            for n_steps in (0, 1, m, m + 1, 16, 3 * BLOCK_WINDOWS * (m + 1) + 1):
                 hist = rng.integers(-3, 4, size=(m + 1, d, d)).astype(float)
                 g = rng.integers(-3, 4, size=(n_steps, d, d)).astype(float)
                 got, g = solve_general_data(sys, hist, g, kind, n_steps)
                 np.testing.assert_array_equal(
-                    got, exact_stepper(sys, hist, g, n_steps),
+                    got, stepper(sys.a0, sys.a1, hist, g, m),
                     err_msg=f"d={d}, N={n_steps}",
                 )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_block_seams_keep_the_exact_recursion(self, m):
+        # the disc-long shape (d = 4, coefficients of size 1 / d, general
+        # data): no steps, exactly one block of the restarted sum, one
+        # block and a row, and a long run, held per delay window to the
+        # size of the exact solution there
+        block = BLOCK_WINDOWS * (m + 1)
+        rng = np.random.default_rng(830 + m)
+        sys = random_system(rng, 4, "discrete", m=m, entry_scale=0.25)
+        for n_steps in (0, block, block + 1, 130):
+            history, forcing = random_matrix_data(rng, sys, n_steps)
+            got = solve_discrete(sys, history, forcing, n_steps).values
+            want = stepper(sys.a0, sys.a1, history.values, forcing.values, m)
+            assert got.shape == want.shape
+            for a in range(0, n_steps + m + 1, m + 1):
+                gap = max_abs(got[a : a + m + 1] - want[a : a + m + 1])
+                size = max_abs(want[a : a + m + 1])
+                assert gap <= 1e-12 * size, (n_steps, a - m, gap / size)
 
 
 def jump_problem(d):
