@@ -33,7 +33,7 @@ from .ppoly import (
     PiecewiseMatrixPolynomial,
     convolve_kernel,
 )
-from .qseq import QTable, build_q_table
+from .qseq import build_q_table
 from .solve import (
     HypothesisReport,
     solve_continuous,
@@ -59,7 +59,6 @@ __all__ = [
     "PiecewiseMatrixPolynomial",
     "convolve_kernel",
     # coefficient table
-    "QTable",
     "build_q_table",
     # fundamental solutions
     "DiscreteFundamental",

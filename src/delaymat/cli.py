@@ -214,15 +214,41 @@ def _check_flags(args):
         _flag_error("--d must be at least 1", "--d")
 
 
+#: The most float64 entries numpy can describe in one array; it refuses
+#: a larger shape before allocating anything.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
 def _as_index(value, flag):
     if not math.isfinite(value) or abs(value - round(value)) > 1e-9:
         _flag_error(f"expected an integer, got {value}", flag)
+    if abs(value) > _MAX_ENTRIES:
+        _flag_error(f"{value:g} is out of the range of an array index", flag)
     return int(round(value))
 
 
-def _sample_times(start, stop, step):
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+def _check_rows(rows, d, flag):
+    """Refuse ``rows`` matrices of ``d x d`` entries when no one array
+    can hold them; ``rows`` may be a float past any count, even inf."""
+    if rows * d * d > _MAX_ENTRIES:
+        _flag_error(
+            f"{rows:.3g} rows of {d}x{d} matrices do not fit in one array", flag
+        )
+
+
+def _step_count(value, sys_):
+    """``--to`` as a discrete step count: the rows ``-m - 1 .. N`` of the
+    solution and of ``--dump-z`` must fit in an array."""
+    n_steps = _as_index(value, "--to")
+    _check_rows(n_steps + sys_.m + 2, sys_.dim, "--to")
+    return n_steps
+
+
+def _sample_times(start, stop, step, d):
+    """The times ``start, start + step, ..`` up to ``stop``."""
+    spans = (stop - start) / step
+    _check_rows(spans + 1, d, "--step")
+    return start + step * np.arange(int(math.floor(spans + 1e-9)) + 1)
 
 
 def _discrete_z_table(sys_, us):
@@ -320,7 +346,7 @@ def _cmd_fundamental(args):
         if start >= args.stop:
             _flag_error(f"--from {start} must lie left of --to {args.stop}", "--from")
         z = build_fundamental_continuous(sys_, args.stop)
-        times = _sample_times(start, args.stop, args.step)
+        times = _sample_times(start, args.stop, args.step, sys_.dim)
         table = TrajectoryTable(
             kind="continuous", times=times, values=z.eval(times)
         )
@@ -336,6 +362,9 @@ def _cmd_fundamental(args):
             _flag_error("--step must be a positive integer", "--step")
         if start > stop:
             _flag_error(f"--from {start} must not exceed --to {stop}", "--from")
+        # Z is computed on the rows -m .. stop, and kept on start .. stop
+        _check_rows(stop + m + 1, sys_.dim, "--to")
+        _check_rows(stop - start + 1, sys_.dim, "--from")
         table = _discrete_z_table(sys_, np.arange(start, stop + 1, step))
         _write_dumps(
             args, sys_, stop, lambda: trajectory_to_node(table), outputs
@@ -355,7 +384,7 @@ def _cmd_solve(args):
         if args.step is None:
             _flag_error("continuous output sampling needs --step", "--step")
         x = solve_continuous(sys_, history, forcing, args.stop)
-        times = _sample_times(-sys_.sigma, args.stop, args.step)
+        times = _sample_times(-sys_.sigma, args.stop, args.step, sys_.dim)
         table = TrajectoryTable(
             kind="continuous", times=times, values=x.eval(times)
         )
@@ -367,7 +396,7 @@ def _cmd_solve(args):
             outputs,
         )
     else:
-        n_steps = _as_index(args.stop, "--to")
+        n_steps = _step_count(args.stop, sys_)
         table = solve_discrete(sys_, history, forcing, n_steps)
         us = np.arange(-(sys_.m + 1), n_steps + 1)
         _write_dumps(
@@ -387,13 +416,7 @@ def _verify_inputs(args, rng):
     if args.random:
         kind = "continuous" if args.kind == "cont" else "discrete"
         sys_ = random_system(rng, args.d, kind, entry_scale=1.0 / args.d)
-        if sys_.is_continuous:
-            horizon = 5.0 * sys_.sigma if args.stop is None else float(args.stop)
-        else:
-            horizon = (
-                5 * (sys_.m + 1) if args.stop is None
-                else _as_index(args.stop, "--to")
-            )
+        horizon = _verify_horizon(args, sys_)
         history, forcing = random_matrix_data(rng, sys_, horizon)
         return sys_, history, forcing, horizon
     if not (args.system and args.history):
@@ -401,13 +424,14 @@ def _verify_inputs(args, rng):
     sys_ = load_system(args.system)
     history = load_history(args.history, sys_)
     forcing = load_forcing(args.forcing, sys_) if args.forcing else None
-    if args.stop is not None:
-        horizon = (
-            float(args.stop) if sys_.is_continuous else _as_index(args.stop, "--to")
-        )
-    else:
-        horizon = 5.0 * sys_.sigma if sys_.is_continuous else 5 * (sys_.m + 1)
-    return sys_, history, forcing, horizon
+    return sys_, history, forcing, _verify_horizon(args, sys_)
+
+
+def _verify_horizon(args, sys_):
+    """``--to`` for `verify`, five delay windows by default."""
+    if args.stop is None:
+        return 5.0 * sys_.sigma if sys_.is_continuous else 5 * (sys_.m + 1)
+    return float(args.stop) if sys_.is_continuous else _step_count(args.stop, sys_)
 
 
 def _cmd_verify(args):

@@ -51,7 +51,7 @@ from .ppoly import (
     convolve_kernel,
 )
 from .qseq import (  # noqa: F401
-    build_q_table,  # unused: perfbench traces it (ROADMAP item 7)
+    build_q_table,  # unused here: perfbench/spans.py patches it
 )
 
 __all__ = [
@@ -72,13 +72,13 @@ def delay_windows(horizon, sigma):
     windows that cover ``[0, horizon]``.  Each window adds one polynomial
     degree, so more than :data:`~delaymat.ppoly.MAX_DEGREE` of them raise
     :class:`~delaymat.errors.DegreeCapExceeded`."""
-    windows = max(1, math.ceil(horizon / sigma - 1e-12))
-    if windows > MAX_DEGREE:
+    spans = horizon / sigma - 1e-12
+    if spans > MAX_DEGREE:
         raise DegreeCapExceeded(
-            f"horizon {horizon} spans {windows} delay windows; the degree "
-            f"cap allows at most {MAX_DEGREE}"
+            f"horizon {horizon:g} spans more than {MAX_DEGREE} delay windows "
+            f"of {sigma:g}; the degree cap allows at most {MAX_DEGREE}"
         )
-    return windows
+    return max(1, math.ceil(spans))
 
 
 def build_fundamental_continuous(sys, horizon):
@@ -113,16 +113,13 @@ class DiscreteFundamental:
 
     :meth:`table` computes ``Z(u)`` over a whole index range with
     :func:`discrete_kernel`, ``Theta_0 = I`` from ``-m`` on; :meth:`value`
-    reads single indices from it and memoizes them.  The cache is
-    pure-function style (an index always maps to the same matrix), so
-    sharing an instance across callers is safe.
+    is the one-index range.
     """
 
     def __init__(self, sys):
         if sys.is_continuous:
             raise ValueError("DiscreteFundamental needs a discrete system")
         self.system = sys
-        self._cache = {}
 
     def table(self, lo, hi):
         """``Z(u)`` for ``u = lo .. hi`` as a ``(hi - lo + 1, d, d)`` stack.
@@ -149,14 +146,8 @@ class DiscreteFundamental:
         return out
 
     def value(self, u):
-        """``Z(u)`` for any integer ``u`` (memoized, read-only)."""
-        u = int(u)
-        hit = self._cache.get(u)
-        if hit is None:
-            hit = self.table(u, u)[0]
-            hit.setflags(write=False)
-            self._cache[u] = hit
-        return hit
+        """``Z(u)`` for any integer ``u``."""
+        return self.table(u, u)[0]
 
 
 def discrete_kernel(a0, a1, hist, g, m, name="X"):

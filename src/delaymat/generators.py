@@ -17,7 +17,6 @@ from .system import DelaySystem, ForcingSpec, HistorySpec
 
 __all__ = [
     "random_system",
-    "random_commuting_polynomial_pair",
     "random_scalar_history",
     "random_scalar_forcing",
     "random_discrete_scalar_data",
@@ -35,25 +34,6 @@ def random_system(rng, d, kind, *, sigma=1.0, m=None, entry_scale=1.0):
     if m is None:
         m = int(rng.integers(1, 4))
     return DelaySystem(a0=a0, a1=a1, delay=m, kind=kind)
-
-
-def random_commuting_polynomial_pair(rng, d, *, integer=False):
-    """A pair ``(a0, a1)`` with ``a1`` a quadratic polynomial in ``a0``
-    — commuting by construction but generally full matrices.
-
-    With ``integer=True`` all entries are small integers, so every
-    product is exact in float64 and the pair commutes with residual
-    exactly zero.
-    """
-    if integer:
-        a0 = rng.integers(-2, 3, size=(d, d)).astype(float)
-        c = rng.integers(-2, 3, size=3).astype(float)
-    else:
-        a0 = rng.uniform(-1.0, 1.0, size=(d, d))
-        c = rng.uniform(-1.0, 1.0, size=3)
-    eye = np.eye(d)
-    a1 = c[0] * eye + c[1] * a0 + c[2] * (a0 @ a0)
-    return a0, a1
 
 
 def _scalar_ppoly(rng, d, lo, hi, deg, n_pieces=1, c1=False):

@@ -3,8 +3,8 @@
 The closed-form solutions produced by this package are exactly piecewise
 polynomial in time: matrix-valued polynomials on half-open segments
 ``[t_k, t_{k+1})`` glued at delay-multiple knots.  This module supplies
-that representation, pointwise evaluation and differentiation, and the
-one nontrivial primitive, :func:`convolve_kernel`: the solution's
+that representation, pointwise evaluation, and the one nontrivial
+primitive, :func:`convolve_kernel`: the solution's
 repeated sum ``sum_r Theta_r(t - r sigma)`` over piecewise-polynomial
 data, evaluated by repeated integration.
 
@@ -138,10 +138,6 @@ class MatrixPolynomial:
         mat = np.asarray(mat, dtype=float)
         return cls(mat[None, :, :])
 
-    @classmethod
-    def zero(cls, dim):
-        return cls(np.zeros((1, dim, dim)))
-
     @property
     def dim(self):
         return self.coeffs.shape[1]
@@ -150,39 +146,16 @@ class MatrixPolynomial:
     def degree(self):
         return self.coeffs.shape[0] - 1
 
-    def eval(self, t, out=None):
+    def eval(self, t):
         """Evaluate at a scalar (returns ``(d, d)``) or 1-D array of
-        times (returns ``(n, d, d)``).
-
-        Every row is bit-identical to the scalar call (see
-        :func:`_power_sum`).  ``out``, when given, is a C-contiguous
-        ``(n, d, d)`` array (such as a row slice of a larger stack) that
-        receives the values in place.
-        """
+        times (returns ``(n, d, d)``); every row is bit-identical to the
+        scalar call (see :func:`_power_sum`)."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
         ts = np.atleast_1d(t)
         d = self.coeffs.shape[1]
-        if out is None:
-            out = np.empty((ts.size, d, d))
-        elif out.shape != (ts.size, d, d) or not out.flags.c_contiguous:
-            # a reshape of anything else would be a copy, and the values lost
-            raise ValueError(f"out must be a C-contiguous ({ts.size}, {d}, {d}) array")
+        out = np.empty((ts.size, d, d))
         _power_sum(self.coeffs, ts, out)
-        return out[0] if scalar else out
-
-    def derivative(self):
-        if self.coeffs.shape[0] == 1:
-            return MatrixPolynomial.zero(self.dim)
-        j = np.arange(1, self.coeffs.shape[0], dtype=float)
-        return MatrixPolynomial(self.coeffs[1:] * j[:, None, None])
-
-    def antiderivative(self):
-        """Antiderivative with zero constant term."""
-        n = self.coeffs.shape[0]
-        out = np.zeros((n + 1,) + self.coeffs.shape[1:])
-        out[1:] = self.coeffs / np.arange(1, n + 1, dtype=float)[:, None, None]
-        return MatrixPolynomial(out)
+        return out[0] if t.ndim == 0 else out
 
     def shift(self, s):
         """Return ``q(t) = p(t + s)``: one product with the matrix
@@ -269,12 +242,6 @@ class PiecewiseMatrixPolynomial:
 
     # -- evaluation ----------------------------------------------------
 
-    def piece_index(self, t):
-        """Index of the piece active at scalar ``t`` (-1 for the left
-        constant region; the last piece owns everything past the end)."""
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(idx, len(self.pieces) - 1)
-
     def eval(self, t):
         """Evaluate at a scalar or 1-D array of times; total on the
         reals per the extension rules above."""
@@ -319,18 +286,7 @@ class PiecewiseMatrixPolynomial:
             out[order] = sorted_out
         return out[0] if scalar else out
 
-    # -- calculus ------------------------------------------------------
-
-    def differentiate(self):
-        """Segment-wise derivative (the left constant region
-        differentiates to zero; knot jumps are ignored, matching the
-        piecewise-classical reading of the equations)."""
-        return PiecewiseMatrixPolynomial(
-            self.breakpoints,
-            [p.derivative() for p in self.pieces],
-            left_value=np.zeros((self.dim, self.dim)),
-            right_extension=self.right_extension,
-        )
+    # -- restriction ---------------------------------------------------
 
     def pieces_in(self, lo, hi):
         """Cover ``[lo, hi)`` by ``(seg_lo, seg_hi, polynomial)`` triples,
@@ -353,17 +309,6 @@ class PiecewiseMatrixPolynomial:
             if b > a:
                 out.append((float(a), float(b), poly.shift(a - seg_lo)))
         return out
-
-    def knot_jumps(self):
-        """Max-abs value jump at each interior breakpoint (useful for
-        continuity diagnostics)."""
-        widths = np.diff(self.breakpoints)
-        return np.asarray([
-            float(np.max(np.abs(
-                self.pieces[k].eval(0.0) - self.pieces[k - 1].eval(widths[k - 1])
-            )))
-            for k in range(1, len(self.pieces))
-        ])
 
     def __repr__(self):
         return (
@@ -406,7 +351,7 @@ def _integrate_into(out, coeffs, powers):
     np.add.accumulate(totals[:-1], axis=0, out=out[1:, 0])
 
 
-def running_antiderivative(coeffs, widths, start=None):
+def running_antiderivative(coeffs, widths, start):
     """Local coefficients of ``x -> start + \\int_{b_0}^x p`` for the
     piecewise polynomial ``p`` whose piece ``k`` has the local
     coefficients ``coeffs[k]`` (shape ``(K, n, d, d)``) and the width
@@ -415,8 +360,7 @@ def running_antiderivative(coeffs, widths, start=None):
     out = np.empty((coeffs.shape[0], n + 1) + coeffs.shape[2:])
     with np.errstate(over="ignore", invalid="ignore"):
         _integrate_into(out, coeffs, _width_powers(widths, n))
-    if start is not None:
-        out[:, 0] += start
+    out[:, 0] += start
     return out
 
 

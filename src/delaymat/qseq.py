@@ -8,7 +8,7 @@ identity::
 
 These are the only nonzero entries of the underlying two-index
 coefficient family (everything off its diagonal vanishes), so the table
-is stored as the one-dimensional stack ``q[0..depth]``.
+is the ``(depth + 1, d, d)`` stack ``q[0..depth]``.
 
 They are the coefficients of both fundamental solutions as the paper
 writes them, and ``--dump-q`` writes them out; the solvers apply ``L``
@@ -17,49 +17,18 @@ itself (see :mod:`delaymat.solve`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegreeCapExceeded, DimensionMismatch
 from .linalg import as_square_matrix
 
-__all__ = ["QTable", "build_q_table"]
-
-
-@dataclass(frozen=True)
-class QTable:
-    """The stack ``mats[r] = q[r]`` for ``r = 0 .. depth``."""
-
-    mats: np.ndarray
-
-    def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=float)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise DimensionMismatch(
-                f"table must have shape (depth + 1, d, d), got {mats.shape}"
-            )
-        object.__setattr__(self, "mats", mats)
-
-    @property
-    def dim(self):
-        return self.mats.shape[1]
-
-    @property
-    def depth(self):
-        return self.mats.shape[0] - 1
-
-    def __len__(self):
-        return self.mats.shape[0]
-
-    def __getitem__(self, r):
-        return self.mats[r]
+__all__ = ["build_q_table"]
 
 
 def build_q_table(a0, a1, depth):
     """Iterate ``q[r + 1] = A0 q[r] + q[r] A1`` from ``q[0] = I`` up to
-    ``q[depth]``; an iterate past the float range raises
-    :class:`~delaymat.errors.DegreeCapExceeded`."""
+    ``q[depth]``, returned as one ``(depth + 1, d, d)`` array; an iterate
+    past the float range raises :class:`~delaymat.errors.DegreeCapExceeded`."""
     a0 = as_square_matrix(a0, "a0")
     a1 = as_square_matrix(a1, "a1")
     if a0.shape != a1.shape:
@@ -80,4 +49,4 @@ def build_q_table(a0, a1, depth):
         raise DegreeCapExceeded(
             f"q[{int(np.argmin(finite))}] of depth {depth} leaves the float range"
         )
-    return QTable(mats)
+    return mats

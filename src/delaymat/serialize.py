@@ -49,7 +49,6 @@ __all__ = [
     "trajectory_to_node",
     "trajectory_from_node",
     "write_trajectory_csv",
-    "read_trajectory_csv",
     "write_json",
     "dump_json",
     "replace_on_success",
@@ -388,9 +387,10 @@ def ppoly_to_node(ppoly):
     }
 
 
-def qtable_to_node(qtable):
-    """Batched-coefficient table as ``{"kind": "qtable", "mats": [...]}``."""
-    return {"kind": "qtable", "mats": [m.tolist() for m in qtable.mats]}
+def qtable_to_node(mats):
+    """The ``(depth + 1, d, d)`` table of :func:`~delaymat.qseq.build_q_table`
+    as ``{"kind": "qtable", "mats": [...]}``."""
+    return {"kind": "qtable", "mats": mats.tolist()}
 
 
 def trajectory_to_node(table):
@@ -442,47 +442,3 @@ def write_trajectory_csv(table, fh):
     rows = np.column_stack((table.times, table.values.reshape(-1, d * d)))
     for k, row in enumerate(rows):
         fh.write(_encode(row, f"row {k}")[1:-1] + "\n")
-
-
-def read_trajectory_csv(path, kind=None):
-    """Read a trajectory CSV back into a table (column count fixes
-    the matrix dimension; ``kind`` defaults to discrete when every time
-    is an exact integer)."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise SchemaError(f"cannot read file: {exc}", location=str(path)) from exc
-    if not lines:
-        raise SchemaError("empty CSV file", location=f"{path}:1:1")
-    ncols = len(lines[0].split(","))
-    d = round((ncols - 1) ** 0.5)
-    if ncols < 2 or d * d != ncols - 1:
-        raise SchemaError(
-            f"need 1 + d*d columns, got {ncols}", location=f"{path}:1:1"
-        )
-    times = []
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != ncols:
-            raise SchemaError(
-                f"expected {ncols} cells, got {len(cells)}",
-                location=f"{path}:{lineno}:1",
-            )
-        try:
-            nums = [float(c) for c in cells]
-        except ValueError as exc:
-            raise SchemaError(
-                f"non-numeric cell: {exc}", location=f"{path}:{lineno}:1"
-            ) from exc
-        times.append(nums[0])
-        values.append(np.array(nums[1:]).reshape(d, d))
-    if not times:
-        raise SchemaError("CSV has a header but no rows", location=f"{path}:2:1")
-    times = np.array(times)
-    if kind is None:
-        kind = "discrete" if np.all(times == np.round(times)) else "continuous"
-    return TrajectoryTable(kind=kind, times=times, values=np.stack(values))

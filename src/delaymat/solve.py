@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import (  # noqa: F401
-    build_fundamental_continuous,  # unused: perfbench traces it (ROADMAP item 7)
+    build_fundamental_continuous,  # unused here: perfbench/spans.py patches it
     delay_windows,
     discrete_kernel,
 )
@@ -133,7 +133,7 @@ def validate_hypotheses(sys, history, forcing=None, tol=HYPOTHESIS_TOL, steps=No
     forcing piece for continuous data, and every value for discrete data.
     ``steps`` is the solve's horizon, a time or a step count, which the
     data must cover; without it the forcing is checked over its own
-    domain, and a callable discrete forcing, which has none, is refused.
+    domain.
     """
     if sys.is_continuous:
         psi, g = continuous_data(sys, history, forcing, steps)

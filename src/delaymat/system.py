@@ -20,7 +20,7 @@ horizon, and hand it back in the one shape the arithmetic reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,41 +123,18 @@ class HistorySpec:
             raise ValueError("history values contain non-finite entries")
         return cls(kind="discrete", values=values)
 
-    @property
-    def dim(self):
-        if self.kind == "continuous":
-            return self.ppoly.dim
-        return self.values.shape[1]
-
-    @property
-    def m(self):
-        if self.kind != "discrete":
-            raise ValueError("m is only defined for discrete histories")
-        return self.values.shape[0] - 1
-
-    def at(self, u):
-        """Discrete history value at index ``u`` in ``[-m, 0]``."""
-        if self.kind != "discrete":
-            raise ValueError("at() is only defined for discrete histories")
-        idx = int(u) + self.m
-        if not 0 <= idx < self.values.shape[0]:
-            raise IndexError(f"history index {u} outside [-{self.m}, 0]")
-        return self.values[idx]
-
 
 @dataclass(frozen=True)
 class ForcingSpec:
     """Inhomogeneity ``G``.
 
     Continuous: a piecewise polynomial covering ``[0, T]`` at solve time.
-    Discrete: matrices for ``u = 0, 1, ...`` as a stack or a callable
-    ``u -> (d, d)`` (materialized over the solve range).
+    Discrete: matrices for ``u = 0, 1, ...`` as a stack.
     """
 
     kind: str
     ppoly: PiecewiseMatrixPolynomial | None = None
     values: np.ndarray | None = None
-    fn: object = field(default=None, compare=False)
 
     @classmethod
     def from_ppoly(cls, ppoly):
@@ -174,28 +151,17 @@ class ForcingSpec:
             raise ValueError("forcing values contain non-finite entries")
         return cls(kind="discrete", values=values)
 
-    @classmethod
-    def from_callable(cls, fn):
-        return cls(kind="discrete", fn=fn)
-
     def table(self, n, dim):
         """Discrete forcing values for ``u = 0 .. n-1`` as ``(n, d, d)``."""
         if self.kind != "discrete":
             raise ValueError("table() is only defined for discrete forcing")
         if n == 0:
             return np.zeros((0, dim, dim))
-        if self.values is not None:
-            if self.values.shape[0] < n:
-                raise DataMismatch(
-                    "forcing", f"table has {self.values.shape[0]} entries, need {n}"
-                )
-            return self.values[:n]
-        out = np.stack([as_square_matrix(self.fn(u), f"G({u})") for u in range(n)])
-        if out.shape[1] != dim:
-            raise DimensionMismatch(
-                f"forcing dimension {out.shape[1]} does not match system {dim}"
+        if self.values.shape[0] < n:
+            raise DataMismatch(
+                "forcing", f"table has {self.values.shape[0]} entries, need {n}"
             )
-        return out
+        return self.values[:n]
 
 
 @dataclass(frozen=True)
@@ -301,8 +267,7 @@ def discrete_data(sys, history, forcing, n_steps=None):
     ``history`` is a discrete :class:`HistorySpec` or an ``(m + 1, d, d)``
     array; ``forcing`` is ``None``, a discrete :class:`ForcingSpec` or an
     array of at least ``n_steps`` matrices.  Without ``n_steps`` a forcing
-    table is taken at its own length, and a callable forcing, which has
-    none, is refused.
+    table is taken at its own length.
     """
     if sys.is_continuous:
         raise ValueError("discrete data needs a discrete system")
@@ -323,12 +288,7 @@ def discrete_data(sys, history, forcing, n_steps=None):
     if forcing is None:
         return hist, np.zeros((n_steps or 0, d, d))
     if isinstance(forcing, ForcingSpec):
-        if n_steps is not None:
-            forcing = forcing.table(n_steps, d)
-        elif forcing.values is None:
-            raise ValueError("a callable forcing needs a step count to bound it")
-        else:
-            forcing = forcing.values
+        forcing = forcing.values if n_steps is None else forcing.table(n_steps, d)
     g = np.asarray(forcing, dtype=float)[:n_steps]
     want = (g.shape[0] if n_steps is None else n_steps, d, d)
     if g.shape != want:

@@ -138,3 +138,11 @@ def fundamental_commutative_discrete(sys, u):
         if c:
             out += float(c) * q_commutative_closed_form(sys.a0, sys.a1, r)
     return out
+
+
+def random_commuting_polynomial_pair(rng, d):
+    """A pair ``(a0, a1)`` with ``a1`` a quadratic polynomial in ``a0``:
+    commuting by construction, but generally full matrices."""
+    a0 = rng.uniform(-1.0, 1.0, size=(d, d))
+    c = rng.uniform(-1.0, 1.0, size=3)
+    return a0, c[0] * np.eye(d) + c[1] * a0 + c[2] * (a0 @ a0)

@@ -27,12 +27,8 @@ from delaymat.generators import (
     random_system,
 )
 from delaymat.oracle import IntegratorConfig
-from delaymat.serialize import (
-    load_forcing,
-    ppoly_to_node,
-    qtable_to_node,
-    read_trajectory_csv,
-)
+from delaymat.serialize import load_forcing, ppoly_to_node, qtable_to_node
+from trajectory_csv import read_trajectory_csv
 
 
 def scalar_files(folder, a0, history):
@@ -69,9 +65,9 @@ def run_with_dumps(capsys, tmp_path, *argv):
 
 def assert_q_table(qnode, system, depth):
     assert qnode["kind"] == "qtable"
-    expected = build_q_table(system.a0, system.a1, depth).mats
+    expected = build_q_table(system.a0, system.a1, depth)
     assert len(qnode["mats"]) == len(expected)
-    np.testing.assert_array_equal(np.array(qnode["mats"]), np.stack(expected))
+    np.testing.assert_array_equal(np.array(qnode["mats"]), expected)
 
 
 def assert_discrete_z_table(znode, system, first, last):
@@ -366,8 +362,7 @@ class TestOutputsAndManifest:
             "--to", "6", "--out", str(out_path),
         )
         assert code == 0
-        table = read_trajectory_csv(out_path)
-        assert table.kind == "discrete"
+        table = read_trajectory_csv(out_path, kind="discrete")
         first = out_path.read_text()
         import io
 
@@ -655,6 +650,43 @@ class TestFlagsThatDoNotFit:
     def test_verify(self, capsys, kind, flag):
         code, out, err = run_cli(capsys, "verify", "--random", "--kind", kind, *flag)
         assert_flag_error(code, out, err, flag[0])
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve", "cont", "--to", "3", "--step", "1e-300"], "--step"),
+            (["fundamental", "cont", "--to", "3", "--step", "1e-300"], "--step"),
+            (["solve", "disc", "--to", "1e300"], "--to"),
+            (["verify", "disc", "--to", "1e300"], "--to"),
+            (["fundamental", "disc", "--to", "1e300"], "--to"),
+            (["fundamental", "disc", "--to", "5", "--step", "1e300"], "--step"),
+            (["fundamental", "disc", "--to", "5", "--from=-1e300"], "--from"),
+        ],
+        ids=" ".join,
+    )
+    def test_rows_past_any_array(self, capsys, ex1_files, ex2_files, argv, flag):
+        # numpy refuses shapes this large before allocating anything
+        command, kind, *rest = argv
+        files = ex1_files if kind == "cont" else ex2_files
+        if command == "verify":
+            head = ["verify", "--random", "--kind", kind]
+        elif command == "solve":
+            head = ["solve", "--system", files[0], "--history", files[1]]
+        else:
+            head = ["fundamental", "--system", files[0], "--kind", kind]
+        code, out, err = run_cli(capsys, *head, *rest)
+        assert_flag_error(code, out, err, flag)
+
+    def test_a_horizon_past_the_degree_cap_is_stated(self, capsys, ex1_files):
+        code, out, err = run_cli(
+            capsys, "fundamental", "--system", ex1_files[0], "--kind", "cont",
+            "--to", "1e300", "--step", "1",
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: horizon 1e+300 spans more than 64 delay windows of 1; "
+            "the degree cap allows at most 64\n"
+        )
 
 
 class TestDataThatDoesNotFit:

@@ -38,6 +38,7 @@ from delaymat.generators import (
 from delaymat.linalg import max_abs
 from delaymat.ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
 from delaymat.system import continuous_data
+from calculus import antiderivative, knot_jumps, zero_poly
 
 EPS = np.finfo(float).eps
 
@@ -195,12 +196,12 @@ class TestContinuousIntegrator:
         with pytest.raises(ValueError):
             integrate_continuous(ex1_system, ex1_history, None, -1.0)
         short_hist = HistorySpec.from_ppoly(
-            PiecewiseMatrixPolynomial([-0.25, 0.0], [MatrixPolynomial.zero(2)])
+            PiecewiseMatrixPolynomial([-0.25, 0.0], [zero_poly(2)])
         )
         with pytest.raises(ValueError):
             integrate_continuous(ex1_system, short_hist, None, 1.0)
         short_force = ForcingSpec.from_ppoly(
-            PiecewiseMatrixPolynomial([0.0, 0.5], [MatrixPolynomial.zero(2)])
+            PiecewiseMatrixPolynomial([0.0, 0.5], [zero_poly(2)])
         )
         with pytest.raises(ValueError):
             integrate_continuous(ex1_system, ex1_history, short_force, 2.0)
@@ -323,7 +324,7 @@ def reference_integrate(sys, psi, g, horizon, n):
             terms = [sys.a0 @ dpoly.coeffs, dpoly.coeffs @ sys.a1]
             if g is not None:
                 terms.append(g.pieces_in(a, b)[0][2].coeffs)
-            piece = MatrixPolynomial(padded_sum(*terms)).antiderivative()
+            piece = antiderivative(MatrixPolynomial(padded_sum(*terms)))
             piece = MatrixPolynomial(padded_sum(piece.coeffs, x_start[None]))
             pieces.append(piece)
             x_start = piece.eval(b - a)
@@ -583,7 +584,7 @@ class TestWindowGaps:
         # at most the window's bound, less the rounding of both
         # evaluations, (k + 1) eps sum_j |c_j| |tau|**j for k coefficients
         sys, history, forcing, horizon = verify_problem(d, seed, windows)
-        assert history.ppoly.knot_jumps().max() > 1e-3
+        assert knot_jumps(history.ppoly).max() > 1e-3
         x = solve_continuous(sys, history, forcing, horizon)
         if change is not None:
             k = widest_piece(x, horizon)

@@ -34,6 +34,7 @@ from delaymat.ppoly import (
 )
 from delaymat.qseq import build_q_table
 from delaymat.system import ForcingSpec, HistorySpec
+from calculus import antiderivative, derivative, differentiate, knot_jumps, zero_poly
 
 
 def exact_repeated_integration(a0, a1, sigma, knots, pieces, windows):
@@ -138,14 +139,14 @@ class TestFundamentalEvaluation:
         assert z1.eval(2.0)[0, 0] == pytest.approx(3.5, abs=1e-13)
 
     def test_derivative_inside_the_first_window(self, z1):
-        rate = z1.differentiate()
+        rate = differentiate(z1)
         np.testing.assert_allclose(
             rate.eval(0.5), [[1.0, 1.0], [0.0, 2.0]], atol=1e-14
         )
 
     def test_integral_over_the_first_window(self, z1):
         # pieces[1] is the window [0, 1) in its local variable t - 0
-        window = z1.pieces[1].antiderivative()
+        window = antiderivative(z1.pieces[1])
         np.testing.assert_allclose(
             window.eval(1.0) - window.eval(0.0), [[1.5, 0.5], [0.0, 2.0]], atol=1e-14
         )
@@ -194,15 +195,6 @@ class TestEvaluationSemantics:
         stacked = p.eval(ts)
         for i, t in enumerate(ts):
             np.testing.assert_array_equal(stacked[i], p.eval(t))
-
-    def test_piece_index_conventions(self):
-        p = PiecewiseMatrixPolynomial(
-            [0.0, 1.0],
-            [MatrixPolynomial.constant([[1.0]])],
-        )
-        assert p.piece_index(-0.1) == -1
-        assert p.piece_index(0.0) == 0
-        assert p.piece_index(1.0) == 0
 
     def test_construction_validation(self):
         with pytest.raises(ValueError):
@@ -268,18 +260,6 @@ class TestBatchIndependentEvaluation:
             )
         np.testing.assert_array_equal(right[0], p.pieces[0].eval(0.0))
 
-    def test_evaluates_into_a_row_slice(self):
-        rng = np.random.default_rng(312)
-        poly = MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(4, 2, 2)))
-        ts = np.linspace(-1.0, 1.0, 5)
-        stack = np.zeros((9, 2, 2))
-        got = poly.eval(ts, out=stack[2:7])
-        assert np.shares_memory(got, stack)
-        np.testing.assert_array_equal(stack[2:7], poly.eval(ts))
-        assert not stack[:2].any() and not stack[7:].any()
-        with pytest.raises(ValueError):
-            poly.eval(ts, out=np.zeros((5, 2, 4))[:, :, ::2])
-
     @pytest.mark.parametrize("seed", [0, 1])
     def test_high_degree_power_sum_matches_exact_reference(self, seed):
         # degree 26 at |t| <= 24: the power-table contraction stays within
@@ -306,13 +286,13 @@ class TestCalculus:
     def test_derivative_antiderivative_roundtrip(self):
         rng = np.random.default_rng(5)
         p = MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(5, 2, 2)))
-        back = p.antiderivative().derivative()
+        back = derivative(antiderivative(p))
         np.testing.assert_allclose(back.coeffs, p.coeffs, atol=1e-15)
 
     def test_differentiate_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         p = random_ppoly(rng, 2, 0.0, 3.0, 3, 4)
-        rate = p.differentiate()
+        rate = differentiate(p)
         ts = np.array([0.21, 0.77, 1.13, 1.62, 2.04, 2.88])
         h = 1e-6
         numeric = (p.eval(ts + h) - p.eval(ts - h)) / (2 * h)
@@ -329,9 +309,9 @@ class TestCalculus:
                 coeffs, np.diff(p.breakpoints), start)],
         )
         np.testing.assert_array_equal(anti.eval(-1.0), start)
-        assert np.all(anti.knot_jumps() <= 1e-15)
+        assert np.all(knot_jumps(anti) <= 1e-15)
         ts = np.linspace(-0.99, 1.99, 31)
-        np.testing.assert_allclose(anti.differentiate().eval(ts), p.eval(ts), atol=1e-15)
+        np.testing.assert_allclose(differentiate(anti).eval(ts), p.eval(ts), atol=1e-15)
 
 
 class TestReparametrizations:
@@ -376,7 +356,7 @@ class TestAlgebra:
                 MatrixPolynomial([[[-1.0]], [[2.0]]]),  # also 1.0 at t=1
             ],
         )
-        np.testing.assert_allclose(cont.knot_jumps(), [0.0], atol=0)
+        np.testing.assert_allclose(knot_jumps(cont), [0.0], atol=0)
         jumpy = PiecewiseMatrixPolynomial(
             [0.0, 1.0, 2.0],
             [
@@ -384,7 +364,7 @@ class TestAlgebra:
                 MatrixPolynomial.constant([[4.0]]),
             ],
         )
-        np.testing.assert_allclose(jumpy.knot_jumps(), [3.0], atol=0)
+        np.testing.assert_allclose(knot_jumps(jumpy), [3.0], atol=0)
 
 
 class TestDegreeCap:
@@ -451,9 +431,9 @@ class TestConvolution:
         hist = random_scalar_history(rng, sys, deg=3, n_pieces=3)
         force = random_scalar_forcing(rng, sys, windows * sigma, deg=2, n_pieces=5)
         x = solve_continuous(sys, hist, force, windows * sigma)
-        q = build_q_table(sys.a0, sys.a1, windows + 1).mats
+        q = build_q_table(sys.a0, sys.a1, windows + 1)
         # scalar data commutes with A1, so the representation formula holds
-        rate = hist.ppoly.differentiate()
+        rate = differentiate(hist.ppoly)
         psi_start = hist.ppoly.eval(-sigma)
         for t in np.linspace(-0.65, windows * sigma - 0.01, 23):
             kinks = t - sigma - sigma * np.arange(-1, windows + 2)
@@ -664,7 +644,7 @@ class TestFloatRange:
 
     def test_forcing_integral_overflow_raises(self):
         sys = DelaySystem(a0=[[0.0]], a1=[[0.0]], delay=1.0, kind="continuous")
-        history = PiecewiseMatrixPolynomial([-1.0, 0.0], [MatrixPolynomial.zero(1)])
+        history = PiecewiseMatrixPolynomial([-1.0, 0.0], [zero_poly(1)])
         big = MatrixPolynomial([[[1e308]]])
         forcing = PiecewiseMatrixPolynomial([0.0, 1.0, 2.0, 3.0], [big] * 3)
         with pytest.raises(DegreeCapExceeded, match=r"on \[2, 3\) leave the float range"):

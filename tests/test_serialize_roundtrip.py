@@ -14,12 +14,12 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from delaymat import TrajectoryTable  # noqa: E402
 from delaymat.serialize import (  # noqa: E402
     load_json,
-    read_trajectory_csv,
     trajectory_from_node,
     trajectory_to_node,
     write_json,
     write_trajectory_csv,
 )
+from trajectory_csv import read_trajectory_csv  # noqa: E402
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
