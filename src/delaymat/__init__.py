@@ -27,12 +27,7 @@ from .errors import (
 )
 from .fundamental import DiscreteFundamental, build_fundamental_continuous
 from .oracle import IntegratorConfig, integrate_continuous, step_discrete
-from .ppoly import (
-    MAX_DEGREE,
-    MatrixPolynomial,
-    PiecewiseMatrixPolynomial,
-    convolve_kernel,
-)
+from .ppoly import MAX_DEGREE, PiecewiseMatrixPolynomial, convolve_kernel
 from .qseq import build_q_table
 from .solve import (
     HypothesisReport,
@@ -55,7 +50,6 @@ __all__ = [
     "SchemaError",
     # piecewise polynomials
     "MAX_DEGREE",
-    "MatrixPolynomial",
     "PiecewiseMatrixPolynomial",
     "convolve_kernel",
     # coefficient table

@@ -13,13 +13,14 @@ Subcommands::
         [--tol X]
     delaymat example {1,2}
 
-Exit codes: 0 success; 1 a failed tolerance, or a solution that leaves
-the float range or the degree cap; 2 schema violation, or data that
-does not fit the system or the horizon (with a file-, line- or
-pointer-anchored message on stderr).  When the first output is a
-regular file, the effective configuration is echoed into a
-``run-manifest.json`` next to it.  The environment variable
-``DELAYMAT_LOG`` in {error, info, debug} controls log verbosity.
+Exit codes: 0 success; 1 a failed tolerance, a solution that leaves
+the float range or the degree cap, or an array too large to allocate;
+2 schema violation, or data that does not fit the system or the
+horizon (with a file-, line- or pointer-anchored message on stderr).
+When the first output is a regular file, the effective configuration
+is echoed into a ``run-manifest.json`` next to it.  The environment
+variable ``DELAYMAT_LOG`` in {error, info, debug} controls log
+verbosity.
 """
 
 from __future__ import annotations
@@ -534,6 +535,10 @@ def main(argv=None):
         return 2
     except DelayMatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a row count numpy can describe but not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -44,12 +44,7 @@ import math
 import numpy as np
 
 from .errors import DegreeCapExceeded
-from .ppoly import (
-    MAX_DEGREE,
-    MatrixPolynomial,
-    PiecewiseMatrixPolynomial,
-    convolve_kernel,
-)
+from .ppoly import MAX_DEGREE, PiecewiseMatrixPolynomial, convolve_kernel
 from .qseq import (  # noqa: F401
     build_q_table,  # unused here: perfbench/spans.py patches it
 )
@@ -101,9 +96,7 @@ def build_fundamental_continuous(sys, horizon):
     )
     # Z(t) = sum_r Theta_r(t - r sigma) with Theta_0 = I from -sigma on
     identity = PiecewiseMatrixPolynomial(
-        [-sigma, windows * sigma],
-        [MatrixPolynomial.constant(np.eye(d))],
-        right_extension=True,
+        [-sigma, windows * sigma], np.eye(d)[None, None], right_extension=True
     )
     return convolve_kernel(sys.a0, sys.a1, sigma, identity, -sigma, windows * sigma)
 

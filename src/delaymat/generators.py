@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
+from .ppoly import PiecewiseMatrixPolynomial, _power_sum
 from .system import DelaySystem, ForcingSpec, HistorySpec
 
 __all__ = [
@@ -61,10 +61,12 @@ def _scalar_ppoly(rng, d, lo, hi, deg, n_pieces=1, c1=False):
             if deg >= 1:
                 coef[1] += want
                 coef[0] -= want * t
-        pieces.append(MatrixPolynomial(coef[:, None, None] * eye))
-        prev = pieces[-1].coeffs[:, 0, 0]
+        pieces.append(coef[:, None, None] * eye)
+        prev = coef
+    left = np.empty((1, d, d))
+    _power_sum(pieces[0], np.array([lo]), left)
     return PiecewiseMatrixPolynomial.from_global(
-        bks, pieces, left_value=pieces[0].eval(lo), right_extension=False
+        bks, pieces, left_value=left[0], right_extension=False
     )
 
 
@@ -109,9 +111,8 @@ def random_matrix_data(rng, sys, horizon):
 
     def cubic_pieces(lo, hi, count):
         knots = np.concatenate([[lo], np.sort(rng.uniform(lo, hi, count - 1)), [hi]])
-        polys = [MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(4, d, d)))
-                 for _ in range(count)]
-        return PiecewiseMatrixPolynomial(knots, polys)
+        coeffs = rng.uniform(-1.0, 1.0, size=(count, 4, d, d))
+        return PiecewiseMatrixPolynomial(knots, coeffs)
 
     return (
         HistorySpec.from_ppoly(cubic_pieces(-sys.sigma, 0.0, 3)),

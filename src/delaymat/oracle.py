@@ -34,8 +34,8 @@ interval, not only at sample rows.  For dense output
 aligned to the delay, in place into one output stack: each piece's rows
 are one product of their power table with the piece's coefficients.
 From :mod:`delaymat.ppoly` the oracle reads only the ``breakpoints``,
-``pieces[k].coeffs`` and (of the data) ``left_value``; it re-expands,
-integrates and evaluates with its own loops.
+the coefficient arrays ``pieces`` and (of the data) ``left_value``; it
+re-expands, integrates and evaluates with its own loops.
 """
 
 from __future__ import annotations
@@ -87,11 +87,7 @@ class IntegratorConfig:
 def _data(ppoly):
     """``(knots, coefficient stacks, left value)`` of piecewise data: the
     only fields of it that the oracle reads."""
-    return (
-        ppoly.breakpoints.tolist(),
-        [p.coeffs for p in ppoly.pieces],
-        ppoly.left_value,
-    )
+    return ppoly.breakpoints.tolist(), ppoly.pieces, ppoly.left_value
 
 
 def _horner(c, tau):
@@ -263,10 +259,10 @@ def window_gaps(pieces, x, horizon):
     interval, not only at sample rows.  The relative gap divides by
     ``max(|oracle|, 1)`` with ``|oracle|`` taken at every sub-interval
     end: a lower bound of the window's maximum, so the relative gap can
-    only read high.  Of ``x`` only ``breakpoints`` and
-    ``pieces[k].coeffs`` are read.
+    only read high.  Of ``x`` only ``breakpoints`` and the coefficient
+    arrays ``pieces`` are read.
     """
-    closed = (x.breakpoints.tolist(), [p.coeffs for p in x.pieces], None)
+    closed = (x.breakpoints.tolist(), x.pieces, None)
     gaps = []
     for knots, coeffs in pieces:
         cuts = _merge(knots[1:-1] + closed[0], knots[0], min(knots[-1], horizon))

@@ -23,19 +23,24 @@ Representation choices:
   exceeding it raises :class:`~delaymat.errors.DegreeCapExceeded` rather
   than silently losing precision.
 
+Each piece is stored as its ``(n_k, d, d)`` array of coefficients in
+ascending powers, a read-only view of one zero-padded ``(K, n, d, d)``
+stack, as ``scipy.interpolate.PPoly`` keeps one coefficient array.  The
+constructor takes such a stack as it is (the result of
+:func:`convolve_kernel` or of a running antiderivative) or pads a
+sequence of arrays into one, and then checks the whole stack in one
+pass: one finiteness check, the trim of trailing all-zero coefficients
+(the zero polynomial keeps one) and one degree check, with no copy and
+no per-piece object.
+
 The calculus is array algebra over the coefficient stacks.  Every
 binomial comes from one small float Pascal table built at import, and
-every re-expansion of a polynomial at another point is one product with
-a binomial-power matrix, built from the powers of the shift by one
-gather through a fixed table of exponents and one in-place product with
-the Pascal table.  Evaluation sorts the times once and fills each
-piece's contiguous run in place with one power-table contraction (see
-:func:`_power_sum`).  A stack of coefficients computed in bulk, such as
-the result of :func:`convolve_kernel` or a running antiderivative,
-becomes polynomials in one checked pass (:func:`pieces_from_stack`): one
-finiteness check, one degree check and the trim of trailing zero
-coefficients over the whole stack, each piece a view of the stack, with
-no copy and no per-piece check.
+every re-expansion of a polynomial at another point (:func:`_shift`) is
+one product with a binomial-power matrix, built from the powers of the
+shift by one gather through a fixed table of exponents and one in-place
+product with the Pascal table.  Evaluation sorts the times once and
+fills each piece's contiguous run in place with one power-table
+contraction (see :func:`_power_sum`).
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .errors import DegreeCapExceeded, DimensionMismatch
 
 __all__ = [
     "MAX_DEGREE",
-    "MatrixPolynomial",
     "PiecewiseMatrixPolynomial",
     "convolve_kernel",
 ]
@@ -104,82 +108,57 @@ def _power_sum(coeffs, t, out):
     )
 
 
-class MatrixPolynomial:
-    """``p(t) = sum_j coeffs[j] t**j`` with ``(d, d)`` matrix coefficients.
+def _shift(c, s):
+    """The coefficients of ``p(x + s)`` from the ``(n, d, d)`` coefficients
+    ``c`` of ``p(x)``: one product with the matrix ``S[i, j] = C(j, i)
+    s**(j - i)`` (zero below the diagonal); ``c`` itself for ``s = 0``.
+    Coefficients past the float range come back as ``inf`` or ``nan``,
+    without a warning: the constructor refuses them, naming the interval."""
+    if s == 0.0:
+        return c
+    n = c.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = _shift_matrices([s], n)[0] @ c.reshape(n, -1)
+    return shifted.reshape(c.shape)
 
-    ``coeffs`` has shape ``(n, d, d)`` in ascending powers.  Trailing
-    all-zero coefficients are trimmed on construction (the zero
-    polynomial keeps a single zero coefficient).
-    """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = np.array(coeffs, dtype=float)
-        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
+def _padded(pieces):
+    """The ``(n_k, d, d)`` coefficient arrays ``pieces`` zero-padded into
+    one ``(K, n, d, d)`` stack."""
+    pieces = [np.asarray(c, dtype=float) for c in pieces]
+    for c in pieces:
+        if c.ndim != 3 or c.shape[1] != c.shape[2] or not c.shape[0]:
             raise DimensionMismatch(
-                f"coefficients must have shape (n, d, d), got {coeffs.shape}"
+                f"coefficients must have shape (n, d, d) with n >= 1, got {c.shape}"
             )
-        n = coeffs.shape[0]
-        if n == 0:
-            raise DimensionMismatch("need at least one coefficient")
-        nonzero = np.flatnonzero(coeffs.reshape(n, -1).any(axis=1))
-        coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
-        if coeffs.shape[0] - 1 > MAX_DEGREE:
-            raise DegreeCapExceeded(
-                f"degree {coeffs.shape[0] - 1} exceeds the cap {MAX_DEGREE}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("polynomial coefficients contain non-finite entries")
-        self.coeffs = coeffs
-
-    @classmethod
-    def constant(cls, mat):
-        mat = np.asarray(mat, dtype=float)
-        return cls(mat[None, :, :])
-
-    @property
-    def dim(self):
-        return self.coeffs.shape[1]
-
-    @property
-    def degree(self):
-        return self.coeffs.shape[0] - 1
-
-    def eval(self, t):
-        """Evaluate at a scalar (returns ``(d, d)``) or 1-D array of
-        times (returns ``(n, d, d)``); every row is bit-identical to the
-        scalar call (see :func:`_power_sum`)."""
-        t = np.asarray(t, dtype=float)
-        ts = np.atleast_1d(t)
-        d = self.coeffs.shape[1]
-        out = np.empty((ts.size, d, d))
-        _power_sum(self.coeffs, ts, out)
-        return out[0] if t.ndim == 0 else out
-
-    def shift(self, s):
-        """Return ``q(t) = p(t + s)``: one product with the matrix
-        ``S[i, j] = C(j, i) s**(j - i)`` (zero below the diagonal)."""
-        if s == 0.0:
-            return self
-        n = self.coeffs.shape[0]
-        flat = self.coeffs.reshape(n, -1)
-        shifted = _shift_matrices([s], n)[0] @ flat
-        return MatrixPolynomial(shifted.reshape(self.coeffs.shape))
-
-    def __repr__(self):
-        return f"MatrixPolynomial(degree={self.degree}, dim={self.dim})"
+    dims = {c.shape[1] for c in pieces}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"pieces mix dimensions {sorted(dims)}")
+    d = dims.pop() if dims else 0
+    stack = np.zeros((len(pieces), max((c.shape[0] for c in pieces), default=1), d, d))
+    for k, c in enumerate(pieces):
+        stack[k, : c.shape[0]] = c
+    return stack
 
 
 class PiecewiseMatrixPolynomial:
     """Matrix-valued piecewise polynomial on half-open segments.
 
-    ``pieces[k]`` applies on ``[breakpoints[k], breakpoints[k+1])`` as a
+    ``pieces[k]``, an ``(n_k, d, d)`` array of coefficients in ascending
+    powers, applies on ``[breakpoints[k], breakpoints[k+1])`` as a
     polynomial in the local variable ``t - breakpoints[k]``; the constant
     ``left_value`` applies for ``t < breakpoints[0]``; the last piece
     extends for ``t >= breakpoints[-1]`` (``right_extension`` records
     whether that extension is semantically exact, e.g. a constant forcing
     term, or merely the natural polynomial continuation).
+
+    ``pieces`` is a sequence of ``(n_k, d, d)`` arrays, zero-padded into
+    one stack, or a ``(K, n, d, d)`` float stack, taken as it is.  Each
+    piece is trimmed of trailing all-zero coefficients (the zero
+    polynomial keeps one) and is a view of the stack, which is made
+    read-only.  A non-finite coefficient raises
+    :class:`~delaymat.errors.DegreeCapExceeded` naming the first such
+    interval, and so does a trimmed degree above :data:`MAX_DEGREE`.
     """
 
     __slots__ = ("breakpoints", "pieces", "left_value", "right_extension")
@@ -192,16 +171,21 @@ class PiecewiseMatrixPolynomial:
             raise ValueError("breakpoints must be finite")
         if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        pieces = list(pieces)
-        if len(pieces) != bp.size - 1:
+        if isinstance(pieces, np.ndarray) and pieces.ndim == 4:
+            stack = np.asarray(pieces, dtype=float)
+            if stack.shape[2] != stack.shape[3] or not stack.shape[1]:
+                raise DimensionMismatch(
+                    f"coefficient stack must have shape (K, n, d, d) with n >= 1, "
+                    f"got {stack.shape}"
+                )
+        else:
+            stack = _padded(pieces)
+        if stack.shape[0] != bp.size - 1:
             raise ValueError(
                 f"{bp.size} breakpoints require {bp.size - 1} pieces, "
-                f"got {len(pieces)}"
+                f"got {stack.shape[0]}"
             )
-        dims = {p.dim for p in pieces}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"pieces mix dimensions {sorted(dims)}")
-        d = dims.pop()
+        d = stack.shape[2]
         if left_value is None:
             left_value = np.zeros((d, d))
         left_value = np.asarray(left_value, dtype=float)
@@ -211,22 +195,43 @@ class PiecewiseMatrixPolynomial:
             )
         if not np.all(np.isfinite(left_value)):
             raise ValueError("left_value contains non-finite entries")
+        # the whole stack in one pass
+        flat = stack.reshape(stack.shape[0], -1)
+        finite = np.isfinite(flat).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DegreeCapExceeded(
+                f"the coefficients on [{bp[i]:g}, {bp[i + 1]:g}) "
+                f"leave the float range"
+            )
+        # one past the last nonzero coefficient of each piece, at least 1
+        nonzero = flat != 0
+        last = flat.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+        lengths = np.where(nonzero.any(axis=1), last // (d * d) + 1, 1)
+        if lengths.max() - 1 > MAX_DEGREE:
+            raise DegreeCapExceeded(
+                f"degree {lengths.max() - 1} exceeds the cap {MAX_DEGREE}"
+            )
+        stack.flags.writeable = False
         self.breakpoints = bp
-        self.pieces = pieces
+        self.pieces = [stack[i, :n] for i, n in enumerate(lengths.tolist())]
         self.left_value = left_value
         self.right_extension = bool(right_extension)
 
     @classmethod
     def from_global(cls, breakpoints, pieces, left_value=None, right_extension=False):
-        """Build from pieces written in the global variable ``t``: each
-        piece is re-expanded once at its own breakpoint."""
-        out = cls(breakpoints, pieces, left_value, right_extension)
-        out.pieces = [p.shift(b) for p, b in zip(out.pieces, out.breakpoints)]
-        return out
+        """Build from pieces written in the global variable ``t``: the
+        pieces are checked and trimmed, so that no trailing zero meets a
+        power of a shift, each is re-expanded once at its own breakpoint,
+        and the re-expanded pieces are checked again."""
+        glob = cls(breakpoints, pieces, left_value, right_extension)
+        bp = glob.breakpoints
+        return cls(bp, [_shift(c, b) for c, b in zip(glob.pieces, bp)],
+                   glob.left_value, right_extension)
 
     @property
     def dim(self):
-        return self.pieces[0].dim
+        return self.left_value.shape[0]
 
     @property
     def start(self):
@@ -238,7 +243,7 @@ class PiecewiseMatrixPolynomial:
 
     @property
     def degree(self):
-        return max(p.degree for p in self.pieces)
+        return max(c.shape[0] for c in self.pieces) - 1
 
     # -- evaluation ----------------------------------------------------
 
@@ -280,7 +285,7 @@ class PiecewiseMatrixPolynomial:
             self.pieces, self.breakpoints, cuts, [*cuts[1:], ts.size]
         ):
             if hi > lo:
-                _power_sum(piece.coeffs, ts[lo:hi] - origin, out[lo:hi])
+                _power_sum(piece, ts[lo:hi] - origin, out[lo:hi])
         if order is not None:
             sorted_out, out = out, np.empty_like(out)
             out[order] = sorted_out
@@ -289,25 +294,24 @@ class PiecewiseMatrixPolynomial:
     # -- restriction ---------------------------------------------------
 
     def pieces_in(self, lo, hi):
-        """Cover ``[lo, hi)`` by ``(seg_lo, seg_hi, polynomial)`` triples,
-        each polynomial in the local variable ``t - seg_lo``, materializing
-        the constant left region and the right extension."""
+        """Cover ``[lo, hi)`` by ``(seg_lo, seg_hi, coefficients)`` triples,
+        each ``(n, d, d)`` array the coefficients of a polynomial in the
+        local variable ``t - seg_lo``, materializing the constant left
+        region and the right extension."""
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi})")
         bp = self.breakpoints
         out = []
         if lo < bp[0]:
-            out.append(
-                (lo, min(hi, bp[0]), MatrixPolynomial.constant(self.left_value))
-            )
+            out.append((lo, min(hi, bp[0]), self.left_value[None]))
         last = len(self.pieces) - 1
-        for k, poly in enumerate(self.pieces):
+        for k, c in enumerate(self.pieces):
             seg_lo = bp[k]
             seg_hi = bp[k + 1] if k < last else max(bp[-1], hi)
             a = max(seg_lo, lo)
             b = min(seg_hi, hi)
             if b > a:
-                out.append((float(a), float(b), poly.shift(a - seg_lo)))
+                out.append((float(a), float(b), _shift(c, a - seg_lo)))
         return out
 
     def __repr__(self):
@@ -364,44 +368,6 @@ def running_antiderivative(coeffs, widths, start):
     return out
 
 
-def pieces_from_stack(stack, breakpoints):
-    """The ``(I, n, d, d)`` coefficient stack as ``I`` polynomials, piece
-    ``i`` on ``[breakpoints[i], breakpoints[i + 1])``, in one pass over
-    the whole stack rather than one :class:`MatrixPolynomial` check and
-    copy per piece.
-
-    Each piece is trimmed of trailing all-zero coefficients as on
-    construction (the zero polynomial keeps one).  A piece with a
-    non-finite coefficient raises
-    :class:`~delaymat.errors.DegreeCapExceeded` naming the first such
-    interval, and so does a trimmed degree above :data:`MAX_DEGREE`.  The
-    pieces are views of ``stack``, which is made read-only."""
-    rows = stack.shape[0]
-    flat = stack.reshape(rows, -1)
-    finite = np.isfinite(flat).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DegreeCapExceeded(
-            f"the coefficients on [{breakpoints[i]:g}, {breakpoints[i + 1]:g}) "
-            f"leave the float range"
-        )
-    # one past the last nonzero coefficient of each piece, at least 1
-    nonzero = flat != 0
-    last = flat.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
-    lengths = np.where(nonzero.any(axis=1), last // stack[0, 0].size + 1, 1)
-    if lengths.max() - 1 > MAX_DEGREE:
-        raise DegreeCapExceeded(
-            f"degree {lengths.max() - 1} exceeds the cap {MAX_DEGREE}"
-        )
-    stack.flags.writeable = False
-    pieces = []
-    for i, length in enumerate(lengths.tolist()):
-        piece = MatrixPolynomial.__new__(MatrixPolynomial)
-        piece.coeffs = stack[i, :length]
-        pieces.append(piece)
-    return pieces
-
-
 def convolve_kernel(a0, a1, sigma, phi0, lo, hi):
     """The solution's repeated sum ``X(t) = sum_r Theta_r(t - r sigma)``
     on ``[lo, hi)``.
@@ -434,8 +400,8 @@ def convolve_kernel(a0, a1, sigma, phi0, lo, hi):
     ``(intervals, n, d, d)`` output stack, so memory stays at one
     coefficient stack per interval.
 
-    The stack becomes the output pieces in one checked pass
-    (:func:`pieces_from_stack`): coefficients past the float range raise
+    The stack becomes the output pieces as it is, in the constructor's
+    one checked pass: coefficients past the float range raise
     :class:`~delaymat.errors.DegreeCapExceeded` naming the interval.
     """
     a0 = np.asarray(a0, dtype=float)
@@ -464,7 +430,7 @@ def convolve_kernel(a0, a1, sigma, phi0, lo, hi):
     firsts = firsts[firsts < t0.size].tolist()
     windows = max(0, len(firsts) - 1)
     shifts = shifts[: windows + 1]
-    n = max(p.degree for p in phi0.pieces) + windows + 1
+    n = phi0.degree + windows + 1
     if n - 1 > MAX_DEGREE:
         raise DegreeCapExceeded(
             f"{windows} repeated integrals of degree-{n - 1 - windows} data "
@@ -478,8 +444,8 @@ def convolve_kernel(a0, a1, sigma, phi0, lo, hi):
     acc = np.zeros((t0.size, n, d, d))
     # Theta_r, the buffer that receives Theta_{r+1}, and L(Theta_r)
     theta, spare, image = np.zeros((3, last + 1, n, d, d))
-    for k, p in enumerate(phi0.pieces):
-        theta[k, : p.coeffs.shape[0]] = p.coeffs
+    for k, c in enumerate(phi0.pieces):
+        theta[k, : c.shape[0]] = c
     powers = _width_powers(np.diff(bks), n - 1)
     base_degree = n - 1 - windows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -496,9 +462,4 @@ def convolve_kernel(a0, a1, sigma, phi0, lo, hi):
             shifted = _shift_matrices(offsets[r, first:], m) @ terms
             acc[first:, :m] += shifted.reshape(-1, m, d, d)
             del terms, shifted  # not alive while the next window's are built
-    return PiecewiseMatrixPolynomial(
-        out_bks,
-        pieces_from_stack(acc, out_bks),
-        left_value=np.zeros((d, d)),
-        right_extension=False,
-    )
+    return PiecewiseMatrixPolynomial(out_bks, acc, left_value=np.zeros((d, d)))

@@ -35,7 +35,7 @@ import numpy as np
 import orjson
 
 from .errors import NonFiniteOutput, SchemaError
-from .ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
+from .ppoly import PiecewiseMatrixPolynomial
 from .system import DelaySystem, ForcingSpec, HistorySpec, TrajectoryTable
 
 __all__ = [
@@ -293,12 +293,10 @@ def ppoly_from_node(node, d, path, ptr=""):
             path,
             f"{ptr}/pieces",
         )
-    pieces = []
-    for k, coeffs in enumerate(pieces_node):
-        stack = _as_matrix_stack(
-            coeffs, d, path, f"{ptr}/pieces/{k}", what="coefficient matrices"
-        )
-        pieces.append(MatrixPolynomial(stack))
+    pieces = [
+        _as_matrix_stack(c, d, path, f"{ptr}/pieces/{k}", what="coefficient matrices")
+        for k, c in enumerate(pieces_node)
+    ]
     left_value = None
     if "left_value" in node:
         left_value = _as_matrix(node["left_value"], d, path, f"{ptr}/left_value")
@@ -381,7 +379,7 @@ def ppoly_to_node(ppoly):
         "kind": "ppoly",
         "basis": "local",
         "breakpoints": [float(b) for b in ppoly.breakpoints],
-        "pieces": [p.coeffs.tolist() for p in ppoly.pieces],
+        "pieces": [c.tolist() for c in ppoly.pieces],
         "left_value": ppoly.left_value.tolist(),
         "right_extension": ppoly.right_extension,
     }

@@ -59,10 +59,9 @@ from .fundamental import (  # noqa: F401
 )
 from .linalg import max_abs
 from .ppoly import (
-    MatrixPolynomial,
     PiecewiseMatrixPolynomial,
+    _padded,
     convolve_kernel,
-    pieces_from_stack,
     running_antiderivative,
 )
 from .system import TrajectoryTable, continuous_data, discrete_data
@@ -122,7 +121,7 @@ def _commutation_residual(a1, mats):
 def _coefficients(ppoly, lo, hi):
     """The local coefficients of every piece of ``ppoly`` on ``[lo, hi)``
     as one ``(rows, d, d)`` stack."""
-    return np.concatenate([p.coeffs for _, _, p in ppoly.pieces_in(lo, hi)])
+    return np.concatenate([c for _, _, c in ppoly.pieces_in(lo, hi)])
 
 
 def validate_hypotheses(sys, history, forcing=None, tol=HYPOTHESIS_TOL, steps=None):
@@ -167,20 +166,15 @@ def _data_integral(psi, g, sigma, horizon):
     segs = psi.pieces_in(-sigma, 0.0)
     start = psi.eval_left(0.0)
     if g is None:
-        tail = [(0.0, horizon, MatrixPolynomial.constant(start))]
+        segs.append((0.0, horizon, start[None]))
     else:
         gsegs = g.pieces_in(0.0, horizon)
-        n = max(p.degree for _, _, p in gsegs) + 1
-        coeffs = np.zeros((len(gsegs), n, psi.dim, psi.dim))
-        for k, (_, _, p) in enumerate(gsegs):
-            coeffs[k, : p.coeffs.shape[0]] = p.coeffs
+        coeffs = _padded([c for _, _, c in gsegs])
         widths = [b - a for a, b, _ in gsegs]
         integral = running_antiderivative(coeffs, widths, start)
-        knots = [a for a, _, _ in gsegs] + [gsegs[-1][1]]
-        tail = [(a, b, p) for (a, b, _), p in zip(gsegs, pieces_from_stack(integral, knots))]
-    segs = segs + tail
+        segs += [(a, b, c) for (a, b, _), c in zip(gsegs, integral)]
     return PiecewiseMatrixPolynomial(
-        [a for a, _, _ in segs] + [horizon], [p for _, _, p in segs]
+        [a for a, _, _ in segs] + [horizon], [c for _, _, c in segs]
     )
 
 

@@ -677,6 +677,20 @@ class TestFlagsThatDoNotFit:
         code, out, err = run_cli(capsys, *head, *rest)
         assert_flag_error(code, out, err, flag)
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "fundamental"])
+    def test_rows_past_any_address_space(self, capsys, ex2_files, command):
+        # 1e17 rows of 2x2 matrices (2.78 EiB): numpy describes the shape,
+        # but no address space holds it, so the allocation itself fails
+        head = {
+            "solve": ["solve", "--system", ex2_files[0], "--history", ex2_files[1]],
+            "verify": ["verify", "--random", "--kind", "disc"],
+            "fundamental": ["fundamental", "--system", ex2_files[0], "--kind", "disc"],
+        }[command]
+        code, out, err = run_cli(capsys, *head, "--to", "1e17")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), err
+
     def test_a_horizon_past_the_degree_cap_is_stated(self, capsys, ex1_files):
         code, out, err = run_cli(
             capsys, "fundamental", "--system", ex1_files[0], "--kind", "cont",

@@ -112,7 +112,7 @@ class TestContinuousWindows:
         q = build_q_table(sys.a0, sys.a1, windows)
         exact_q = [[[Fraction(x) for x in row] for row in mat] for mat in q]
         for u in (2, 13, 24, 25):
-            got = z.pieces[u].coeffs
+            got = z.pieces[u]
             assert got.shape == (u + 1, d, d)
             for j in range(u + 1):
                 for a in range(d):
@@ -402,5 +402,5 @@ class TestCommutativeReduction:
         q = build_q_table(ex1_system.a0, ex1_system.a1, 3)
         for u in (1, 2, 3):
             piece = z.pieces[u]  # pieces[0] is the identity window
-            lead = piece.coeffs[-1] * math.factorial(u)
+            lead = piece[-1] * math.factorial(u)
             np.testing.assert_allclose(lead, q[u], atol=1e-12)

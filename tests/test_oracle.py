@@ -36,9 +36,9 @@ from delaymat.generators import (
     random_system,
 )
 from delaymat.linalg import max_abs
-from delaymat.ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
+from delaymat.ppoly import PiecewiseMatrixPolynomial, _shift
 from delaymat.system import continuous_data
-from calculus import antiderivative, knot_jumps, zero_poly
+from calculus import antiderivative, knot_jumps, value, zero_poly
 
 EPS = np.finfo(float).eps
 
@@ -146,10 +146,7 @@ class TestContinuousIntegrator:
         force = ForcingSpec.from_ppoly(
             PiecewiseMatrixPolynomial(
                 [0.0, 2.5, 5.0],
-                [
-                    MatrixPolynomial.constant(1.0 * eye),
-                    MatrixPolynomial.constant(-1.0 * eye),
-                ],
+                [1.0 * eye[None], -1.0 * eye[None]],
                 right_extension=True,
             )
         )
@@ -179,7 +176,7 @@ class TestContinuousIntegrator:
         force = ForcingSpec.from_ppoly(
             PiecewiseMatrixPolynomial(
                 [0.0, 1.0],
-                [MatrixPolynomial(np.stack([eye, -0.5 * eye]))],
+                [np.stack([eye, -0.5 * eye])],
                 right_extension=True,
             )
         )
@@ -279,9 +276,7 @@ class TestDiscreteRecursion:
 
 def random_ppoly(rng, d, lo, hi):
     """General (non-commuting) two-piece matrix data on ``[lo, hi]``."""
-    pieces = [
-        MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(3, d, d))) for _ in range(2)
-    ]
+    pieces = [rng.uniform(-1.0, 1.0, size=(3, d, d)) for _ in range(2)]
     return PiecewiseMatrixPolynomial(np.linspace(lo, hi, 3), pieces)
 
 
@@ -296,9 +291,9 @@ def padded_sum(*stacks):
 def reference_integrate(sys, psi, g, horizon, n):
     """A literal method of steps from ppoly's own calculus, one interval
     at a time: each interval's delayed piece is re-expanded with
-    ``MatrixPolynomial.shift``, its forcing piece comes from
-    ``pieces_in``, the integrand is integrated with ``antiderivative``,
-    and each window is evaluated with ``PiecewiseMatrixPolynomial.eval``.
+    ``ppoly._shift``, its forcing piece comes from ``pieces_in``, the
+    integrand is integrated with ``antiderivative``, and each window is
+    evaluated with ``PiecewiseMatrixPolynomial.eval``.
     Returns the oracle's grid and the values on it."""
     sigma = sys.sigma
     windows = max(1, int(np.ceil(horizon / sigma - 1e-12)))
@@ -320,14 +315,13 @@ def reference_integrate(sys, psi, g, horizon, n):
         pieces = []
         for a, b in zip(cuts[:-1], cuts[1:]):
             da, _, poly = next(t for t in delayed if t[0] <= (a + b) / 2 < t[1])
-            dpoly = poly.shift(a - da)
-            terms = [sys.a0 @ dpoly.coeffs, dpoly.coeffs @ sys.a1]
+            dpoly = _shift(poly, a - da)
+            terms = [sys.a0 @ dpoly, dpoly @ sys.a1]
             if g is not None:
-                terms.append(g.pieces_in(a, b)[0][2].coeffs)
-            piece = antiderivative(MatrixPolynomial(padded_sum(*terms)))
-            piece = MatrixPolynomial(padded_sum(piece.coeffs, x_start[None]))
+                terms.append(g.pieces_in(a, b)[0][2])
+            piece = padded_sum(antiderivative(padded_sum(*terms)), x_start[None])
             pieces.append(piece)
-            x_start = piece.eval(b - a)
+            x_start = value(piece, b - a)
         prev = PiecewiseMatrixPolynomial(cuts, pieces)
         rows = slice((k + 1) * n, (k + 2) * n + (k == windows - 1))
         x[rows] = prev.eval(grid[rows])
@@ -358,8 +352,8 @@ class TestSweepAgainstReference:
             g = PiecewiseMatrixPolynomial(
                 [0.0, knot, horizon],
                 [
-                    MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(3, d, d))),
-                    MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(2, d, d))),
+                    rng.uniform(-1.0, 1.0, size=(3, d, d)),
+                    rng.uniform(-1.0, 1.0, size=(2, d, d)),
                 ],
             )
         table = integrate_continuous(
@@ -419,12 +413,12 @@ def knotty_problem(rng, windows):
     sys = random_system(rng, d, "continuous", sigma=sigma)
     psi = PiecewiseMatrixPolynomial(
         [-0.75, -0.3, 0.1],
-        [MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(3, d, d))) for _ in range(2)],
+        [rng.uniform(-1.0, 1.0, size=(3, d, d)) for _ in range(2)],
     )
     horizon = windows * sigma
     g = PiecewiseMatrixPolynomial(
         [0.0, 0.3 * windows, (windows - 0.5) * sigma, horizon + 0.2],
-        [MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(k, d, d))) for k in (3, 1, 2)],
+        [rng.uniform(-1.0, 1.0, size=(k, d, d)) for k in (3, 1, 2)],
     )
     return sys, psi, g, horizon
 
@@ -555,11 +549,12 @@ def perturbed(x, piece, sizes, split=None):
     polys = list(x.pieces)
     if split is not None:
         bks.insert(piece + 1, bks[piece] + split)
-        polys.insert(piece + 1, polys[piece].shift(split))
-    c = polys[piece].coeffs
+        polys.insert(piece + 1, _shift(polys[piece], split))
+    c = polys[piece]
+    # a new array, never the read-only piece
     c = np.concatenate([c, np.zeros((max(len(sizes) - len(c), 0),) + c.shape[1:])])
     c[: len(sizes), 0, 1] += sizes
-    polys[piece] = MatrixPolynomial(c)
+    polys[piece] = c
     return PiecewiseMatrixPolynomial(bks, polys, x.left_value, x.right_extension)
 
 
@@ -589,7 +584,7 @@ class TestWindowGaps:
         if change is not None:
             k = widest_piece(x, horizon)
             w = x.breakpoints[k + 1] - x.breakpoints[k]
-            size = 1e-8 * max_abs(x.pieces[k].coeffs)
+            size = 1e-8 * max_abs(x.pieces[k])
             sizes, split = {
                 "c0": ([size], None),
                 "c1": ([0, size], None),
@@ -609,11 +604,9 @@ class TestWindowGaps:
         sampled = np.abs(x.eval(ref.times) - ref.values)
         sizes = np.empty_like(ref.values)
         oracle._sample([(b, np.abs(c)) for b, c in pieces], ref.times, n, sizes)
-        abs_x = PiecewiseMatrixPolynomial(
-            x.breakpoints, [MatrixPolynomial(np.abs(p.coeffs)) for p in x.pieces]
-        )
+        abs_x = PiecewiseMatrixPolynomial(x.breakpoints, [np.abs(c) for c in x.pieces])
         sizes += abs_x.eval(ref.times)
-        k = max(c.shape[1] for _, c in pieces) + max(len(p.coeffs) for p in x.pieces)
+        k = max(c.shape[1] for _, c in pieces) + max(len(c) for c in x.pieces)
         for w, (bound, _) in enumerate(gaps):
             rows = slice(w * n, (w + 1) * n + (w == len(gaps) - 1))
             excess = sampled[rows] - (k + 1) * EPS * sizes[rows]
@@ -631,7 +624,7 @@ class TestWindowGaps:
         sys, history, forcing, horizon = verify_problem(8, 1)
         x = solve_continuous(sys, history, forcing, horizon)
         k = widest_piece(x, horizon)
-        size = 1e-8 * max_abs(x.pieces[k].coeffs)
+        size = 1e-8 * max_abs(x.pieces[k])
         pieces = oracle.continuous_pieces(sys, history, forcing, horizon)
         change = [0] * power + [size]
         gaps = oracle.window_gaps(pieces, perturbed(x, k, change), horizon)

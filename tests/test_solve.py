@@ -33,8 +33,8 @@ from delaymat.generators import (
     random_system,
 )
 from delaymat.linalg import max_abs
-from delaymat.ppoly import MatrixPolynomial, PiecewiseMatrixPolynomial
-from calculus import antiderivative, differentiate, knot_jumps, zero_poly
+from delaymat.ppoly import PiecewiseMatrixPolynomial
+from calculus import antiderivative, differentiate, knot_jumps, value, zero_poly
 from exact_arith import solution_sum, stepper
 
 
@@ -62,7 +62,7 @@ def integral_from_start(p, t):
         if t <= lo:
             break
         hi = t if k == len(p.pieces) - 1 else min(t, p.breakpoints[k + 1])
-        total += antiderivative(piece).eval(hi - lo)
+        total += value(antiderivative(piece), hi - lo)
     return total
 
 
@@ -91,7 +91,7 @@ class TestHypothesisCheck:
         bad = ForcingSpec.from_ppoly(
             PiecewiseMatrixPolynomial(
                 [0.0, 3.0],
-                [MatrixPolynomial.constant([[0.0, 1.0], [0.0, 0.0]])],
+                [[[[0.0, 1.0], [0.0, 0.0]]]],
                 right_extension=True,
             )
         )
@@ -106,7 +106,7 @@ class TestHypothesisCheck:
         bad = ForcingSpec.from_ppoly(
             PiecewiseMatrixPolynomial(
                 [0.0, 3.0],
-                [MatrixPolynomial.constant([[0.0, 1.0], [0.0, 0.0]])],
+                [[[[0.0, 1.0], [0.0, 0.0]]]],
                 right_extension=True,
             )
         )
@@ -117,7 +117,7 @@ class TestHypothesisCheck:
         slightly_off = ForcingSpec.from_ppoly(
             PiecewiseMatrixPolynomial(
                 [0.0, 3.0],
-                [MatrixPolynomial.constant([[1.0, 1e-8], [0.0, 1.0]])],
+                [[[[1.0, 1e-8], [0.0, 1.0]]]],
                 right_extension=True,
             )
         )
@@ -138,8 +138,8 @@ class TestHypothesisCheck:
             PiecewiseMatrixPolynomial(
                 [-2.0, -1.0, 0.0],
                 [
-                    MatrixPolynomial(np.stack([eye + nil, -2.0 * nil, nil])),
-                    MatrixPolynomial.constant(eye),
+                    np.stack([eye + nil, -2.0 * nil, nil]),
+                    eye[None],
                 ],
             )
         )
@@ -155,7 +155,7 @@ class TestHypothesisCheck:
         nil = np.array([[0.0, 1.0], [0.0, 0.0]])
         bad = ForcingSpec.from_ppoly(
             PiecewiseMatrixPolynomial(
-                [0.0, 3.0], [MatrixPolynomial(np.stack([eye, eye, nil]))]
+                [0.0, 3.0], [np.stack([eye, eye, nil])]
             )
         )
         report = validate_hypotheses(ex1_system, ex1_history, bad)
@@ -442,8 +442,7 @@ def jump_problem(d):
 
     def pieces(knots, deg):
         return PiecewiseMatrixPolynomial(knots, [
-            MatrixPolynomial(rng.uniform(-1.0, 1.0, size=(deg + 1, d, d)))
-            for _ in knots[:-1]
+            rng.uniform(-1.0, 1.0, size=(deg + 1, d, d)) for _ in knots[:-1]
         ])
 
     history = pieces([-sigma, -0.5, -0.25, 0.0], 3)
