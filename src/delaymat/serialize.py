@@ -316,55 +316,34 @@ def ppoly_from_node(node, d, path, ptr=""):
         _fail(str(exc), path, f"{ptr}/breakpoints")
 
 
-def _payload_kind(doc, path):
+def _load_data(path, sys, spec):
+    """Read a history or forcing file into ``spec``: a ``ppoly`` payload
+    for a continuous system, a ``table`` payload ``{"kind": "table",
+    "values": [...]}`` of finite ``d x d`` matrices for a discrete one.
+    Whether the data fits the system and the horizon is decided later,
+    by :func:`~delaymat.system.continuous_data` and
+    :func:`~delaymat.system.discrete_data`."""
+    doc = load_json(path)
+    want = "ppoly" if sys.is_continuous else "table"
     kind = _get(doc, "kind", path, "")
-    if kind not in ("ppoly", "table"):
-        _fail(f"kind must be 'ppoly' or 'table', got {kind!r}", path, "/kind")
-    return kind
+    if kind != want:
+        msg = f"a {sys.kind} system needs a {want!r} payload, got {kind!r}"
+        _fail(msg, path, "/kind")
+    if sys.is_continuous:
+        return spec.from_ppoly(ppoly_from_node(doc, sys.dim, path))
+    return spec.from_values(
+        _as_matrix_stack(_get(doc, "values", path, ""), sys.dim, path, "/values")
+    )
 
 
 def load_history(path, sys):
-    """Read a history file: a ``ppoly`` payload for continuous systems,
-    a ``table`` payload ``{"kind": "table", "values": [...]}`` with
-    ``m + 1`` matrices (``u = -m .. 0``) for discrete systems."""
-    doc = load_json(path)
-    kind = _payload_kind(doc, path)
-    if sys.is_continuous:
-        if kind != "ppoly":
-            _fail("continuous history must be a 'ppoly' payload", path, "/kind")
-        ppoly = ppoly_from_node(doc, sys.dim, path)
-        try:
-            return HistorySpec.from_ppoly(ppoly)
-        except ValueError as exc:
-            _fail(str(exc), path, "/pieces")
-    if kind != "table":
-        _fail("discrete history must be a 'table' payload", path, "/kind")
-    values = _as_matrix_stack(
-        _get(doc, "values", path, ""), sys.dim, path, "/values"
-    )
-    if values.shape[0] != sys.m + 1:
-        _fail(
-            f"discrete history needs m + 1 = {sys.m + 1} matrices "
-            f"(u = -{sys.m} .. 0), got {values.shape[0]}",
-            path,
-            "/values",
-        )
-    return HistorySpec.from_values(values)
+    """Read a history file (see :func:`_load_data`), ``u = -m .. 0``."""
+    return _load_data(path, sys, HistorySpec)
 
 
 def load_forcing(path, sys):
-    """Read a forcing file: a ``ppoly`` payload (continuous) or a
-    ``table`` payload with matrices for ``u = 0, 1, ...`` (discrete)."""
-    doc = load_json(path)
-    kind = _payload_kind(doc, path)
-    if sys.is_continuous:
-        if kind != "ppoly":
-            _fail("continuous forcing must be a 'ppoly' payload", path, "/kind")
-        return ForcingSpec.from_ppoly(ppoly_from_node(doc, sys.dim, path))
-    if kind != "table":
-        _fail("discrete forcing must be a 'table' payload", path, "/kind")
-    values = _as_matrix_stack(_get(doc, "values", path, ""), sys.dim, path, "/values")
-    return ForcingSpec.from_values(values)
+    """Read a forcing file (see :func:`_load_data`), ``u = 0, 1, ...``."""
+    return _load_data(path, sys, ForcingSpec)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ The two equation families share one coefficient layout::
 
 with noncommutative ``A0``, ``A1`` allowed throughout.  ``DelaySystem``
 bundles the coefficients with the delay; ``HistorySpec``/``ForcingSpec``
-wrap the initial segment and inhomogeneity in the shape each family
-needs (a piecewise polynomial, or per-index matrices); and
-``TrajectoryTable`` is the common sampled-output type shared by the
-discrete solvers and the brute-force integrators.
+carry the initial segment and inhomogeneity as given (a piecewise
+polynomial, or per-index matrices); and ``TrajectoryTable`` is the
+common sampled-output type shared by the discrete solvers and the
+brute-force integrators.
 
 :func:`continuous_data` and :func:`discrete_data` decide, once for the
 solvers and the oracles alike, whether data fits a system and a
@@ -93,75 +93,39 @@ class DelaySystem:
 
 
 @dataclass(frozen=True)
-class HistorySpec:
+class _DataSpec:
+    """History or forcing data as it was given: a piecewise polynomial
+    (``ppoly``) or a stack of per-index matrices (``values``).  Whether it
+    fits a system and a horizon is for :func:`continuous_data` and
+    :func:`discrete_data` to decide."""
+
+    ppoly: PiecewiseMatrixPolynomial | None = None
+    values: np.ndarray | None = None
+
+    @classmethod
+    def from_ppoly(cls, ppoly):
+        return cls(ppoly=ppoly)
+
+    @classmethod
+    def from_values(cls, values):
+        return cls(values=np.asarray(values, dtype=float))
+
+
+class HistorySpec(_DataSpec):
     """Initial data on the delay window.
 
     Continuous: a matrix-valued piecewise polynomial, jumps allowed,
-    whose domain must cover ``[-sigma, 0]`` at solve time.  Discrete:
-    matrices for ``u = -m .. 0`` stacked as ``values[(u + m)]``.
+    covering ``[-sigma, 0]``.  Discrete: matrices for ``u = -m .. 0``
+    stacked as ``values[u + m]``.
     """
 
-    kind: str
-    ppoly: PiecewiseMatrixPolynomial | None = None
-    values: np.ndarray | None = None
 
-    @classmethod
-    def from_ppoly(cls, ppoly):
-        return cls(kind="continuous", ppoly=ppoly)
-
-    @classmethod
-    def from_values(cls, values):
-        """Wrap per-index matrices for ``u = -m .. 0`` (``m = len - 1``)."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise DimensionMismatch(
-                f"values must have shape (m + 1, d, d), got {values.shape}"
-            )
-        if values.shape[0] < 2:
-            raise ValueError("discrete history needs at least two indices (m >= 1)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("history values contain non-finite entries")
-        return cls(kind="discrete", values=values)
-
-
-@dataclass(frozen=True)
-class ForcingSpec:
+class ForcingSpec(_DataSpec):
     """Inhomogeneity ``G``.
 
-    Continuous: a piecewise polynomial covering ``[0, T]`` at solve time.
-    Discrete: matrices for ``u = 0, 1, ...`` as a stack.
+    Continuous: a piecewise polynomial covering ``[0, T]``.  Discrete:
+    matrices for ``u = 0, 1, ...`` as a stack.
     """
-
-    kind: str
-    ppoly: PiecewiseMatrixPolynomial | None = None
-    values: np.ndarray | None = None
-
-    @classmethod
-    def from_ppoly(cls, ppoly):
-        return cls(kind="continuous", ppoly=ppoly)
-
-    @classmethod
-    def from_values(cls, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise DimensionMismatch(
-                f"values must have shape (n, d, d), got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("forcing values contain non-finite entries")
-        return cls(kind="discrete", values=values)
-
-    def table(self, n, dim):
-        """Discrete forcing values for ``u = 0 .. n-1`` as ``(n, d, d)``."""
-        if self.kind != "discrete":
-            raise ValueError("table() is only defined for discrete forcing")
-        if n == 0:
-            return np.zeros((0, dim, dim))
-        if self.values.shape[0] < n:
-            raise DataMismatch(
-                "forcing", f"table has {self.values.shape[0]} entries, need {n}"
-            )
-        return self.values[:n]
 
 
 @dataclass(frozen=True)
@@ -207,20 +171,17 @@ class TrajectoryTable:
         return self.values[idx]
 
 
-def _check_kind(data, spec, role, kind):
-    """Refuse a ``spec`` of the other family; anything else passes."""
-    if isinstance(data, spec) and data.kind != kind:
-        raise DataMismatch(role, f"is {data.kind} data, the system is {kind}")
-
-
-def _continuous_ppoly(data, spec, role, dim):
-    _check_kind(data, spec, role, "continuous")
-    if isinstance(data, spec):
-        data = data.ppoly
-    elif not isinstance(data, PiecewiseMatrixPolynomial):
-        raise TypeError(f"unsupported {role} type {type(data).__name__}")
-    if data.dim != dim:
-        raise DataMismatch(role, f"dimension {data.dim} does not match system {dim}")
+def _unwrap(data, role, sys):
+    """``data`` out of its spec, refused when it is not of ``sys``'s
+    family: a piecewise polynomial for a continuous system, anything
+    else (a matrix table) for a discrete one."""
+    if isinstance(data, _DataSpec):
+        data = data.ppoly if data.ppoly is not None else data.values
+    if isinstance(data, PiecewiseMatrixPolynomial) != sys.is_continuous:
+        need = "a piecewise polynomial" if sys.is_continuous else "a table of matrices"
+        raise DataMismatch(
+            role, f"is {type(data).__name__}; a {sys.kind} system takes {need}"
+        )
     return data
 
 
@@ -243,14 +204,19 @@ def continuous_data(sys, history, forcing, horizon=None):
         raise ValueError(f"horizon must be positive, got {horizon}")
     sigma = sys.sigma
     tiny = 1e-12 * sigma
-    psi = _continuous_ppoly(history, HistorySpec, "history", sys.dim)
+    psi = _unwrap(history, "history", sys)
+    g = None if forcing is None else _unwrap(forcing, "forcing", sys)
+    for role, data in (("history", psi), ("forcing", g)):
+        if data is not None and data.dim != sys.dim:
+            raise DataMismatch(
+                role, f"dimension {data.dim} does not match system {sys.dim}"
+            )
     if psi.start > -sigma + tiny or psi.end < -tiny:
         raise DataMismatch(
             "history", f"domain [{psi.start}, {psi.end}] does not cover [-{sigma}, 0]"
         )
-    if forcing is None:
+    if g is None:
         return psi, None
-    g = _continuous_ppoly(forcing, ForcingSpec, "forcing", sys.dim)
     end = g.end if horizon is None or g.right_extension else float(horizon)
     if g.start > tiny or g.end < end - tiny:
         raise DataMismatch(
@@ -264,10 +230,11 @@ def discrete_data(sys, history, forcing, n_steps=None):
     ``hist`` holds ``u = -m .. 0`` and ``g`` holds ``u = 0 .. n_steps - 1``
     (zeros when there is no forcing).
 
-    ``history`` is a discrete :class:`HistorySpec` or an ``(m + 1, d, d)``
-    array; ``forcing`` is ``None``, a discrete :class:`ForcingSpec` or an
-    array of at least ``n_steps`` matrices.  Without ``n_steps`` a forcing
-    table is taken at its own length.
+    ``history`` is a :class:`HistorySpec` or an ``(m + 1, d, d)`` array;
+    ``forcing`` is ``None``, a :class:`ForcingSpec` or an array of at
+    least ``n_steps`` matrices, of which the first ``n_steps`` are read.
+    Without ``n_steps`` a forcing table is taken at its own length.  The
+    matrices read must be finite.
     """
     if sys.is_continuous:
         raise ValueError("discrete data needs a discrete system")
@@ -276,24 +243,32 @@ def discrete_data(sys, history, forcing, n_steps=None):
         if n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     m, d = sys.m, sys.dim
-    _check_kind(history, HistorySpec, "history", "discrete")
-    if isinstance(history, HistorySpec):
-        history = history.values
-    hist = np.asarray(history, dtype=float)
-    if hist.shape != (m + 1, d, d):
-        raise DataMismatch(
-            "history", f"must have shape ({m + 1}, {d}, {d}), got {hist.shape}"
-        )
-    _check_kind(forcing, ForcingSpec, "forcing", "discrete")
+    hist = _table(history, "history", sys, -m, m + 1, exact=True)
     if forcing is None:
         return hist, np.zeros((n_steps or 0, d, d))
-    if isinstance(forcing, ForcingSpec):
-        forcing = forcing.values if n_steps is None else forcing.table(n_steps, d)
-    g = np.asarray(forcing, dtype=float)[:n_steps]
-    want = (g.shape[0] if n_steps is None else n_steps, d, d)
-    if g.shape != want:
+    return hist, _table(forcing, "forcing", sys, 0, n_steps, exact=False)
+
+
+def _table(data, role, sys, first, rows, exact):
+    """``data`` as finite ``d x d`` matrices for ``u = first ..``: exactly
+    ``rows`` of them when ``exact``, else the first ``rows`` of at least
+    that many (all of them for ``rows=None``)."""
+    data, d = _unwrap(data, role, sys), sys.dim
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise DataMismatch(role, "is not a table of numbers") from None
+    fits = arr.ndim == 3 and arr.shape[1:] == (d, d)
+    if fits and rows is not None:
+        fits = len(arr) == rows if exact else len(arr) >= rows
+    if not fits:
+        need = "" if rows is None else f"{'' if exact else 'at least '}{rows} "
+        span = f" for u = {first} .. {first + rows - 1}" if rows else ""
         raise DataMismatch(
-            "forcing", f"must have shape {want} for u = 0 .. {want[0] - 1}, "
-            f"got {g.shape}"
+            role, f"must hold {need}{d}x{d} matrices{span}, got shape {arr.shape}"
         )
-    return hist, g
+    arr = arr[:rows]
+    if not np.isfinite(arr).all():
+        u = first + int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
+        raise DataMismatch(role, f"holds a non-finite entry at u = {u}")
+    return arr

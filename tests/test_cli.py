@@ -721,6 +721,12 @@ class TestDataThatDoesNotFit:
                          "pieces": [[[[1]]]], "right_extension": True},
             "short": {"kind": "ppoly", "breakpoints": [0.0, 1.0],
                       "pieces": [[[[1]]]]},
+            # d=1, m=2: a history needs the three rows u = -2 .. 0
+            "dsys": {"d": 1, "A0": [[0.5]], "A1": [[0.2]],
+                     "kind": "discrete", "delay": 2},
+            "dhist": {"kind": "table", "values": [[[1]], [[2]], [[3]]]},
+            "dhist_short": {"kind": "table", "values": [[[1]], [[2]]]},
+            "dg_short": {"kind": "table", "values": [[[1]], [[1]]]},
         }.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(node))
@@ -758,6 +764,34 @@ class TestDataThatDoesNotFit:
             f"error: {f['short']}: forcing domain [0.0, 1.0] does not cover [0, 3.0]"
         ]
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_a_discrete_history_of_the_wrong_length(
+        self, capsys, scalar_files, command
+    ):
+        f = scalar_files
+        code, out, err = run_cli(
+            capsys, command, "--system", f["dsys"], "--history", f["dhist_short"],
+            "--to", "4",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: {f['dhist_short']}: history must hold 3 1x1 matrices for "
+            f"u = -2 .. 0, got shape (2, 1, 1)"
+        ]
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_a_short_discrete_forcing(self, capsys, scalar_files, command):
+        f = scalar_files
+        code, out, err = run_cli(
+            capsys, command, "--system", f["dsys"], "--history", f["dhist"],
+            "--forcing", f["dg_short"], "--to", "4",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: {f['dg_short']}: forcing must hold at least 4 1x1 matrices "
+            f"for u = 0 .. 3, got shape (2, 1, 1)"
+        ]
+
 
 class TestVerifyRelativeGate:
     """`verify` gates each window on its gap relative to max(|oracle|, 1)."""
@@ -765,12 +799,12 @@ class TestVerifyRelativeGate:
     def test_relative_perturbation_of_a_large_solution_fails(self):
         rng = np.random.default_rng(60)
         oracle = 1e17 * (1.0 + rng.uniform(size=(6, 2, 2)))
-        masks = [np.arange(6) < 3, np.arange(6) >= 3]
-        exact_gaps, ok = _compare_windows(oracle.copy(), oracle, masks, 1e-9)
+        windows = [slice(0, 3), slice(3, 6)]
+        exact_gaps, ok = _compare_windows(oracle.copy(), oracle, windows, 1e-9)
         assert ok and exact_gaps == [(0.0, 0.0), (0.0, 0.0)]
         closed = oracle.copy()
         closed[4, 1, 0] *= 1.0 + 1e-6
-        gaps, ok = _compare_windows(closed, oracle, masks, 1e-9)
+        gaps, ok = _compare_windows(closed, oracle, windows, 1e-9)
         assert not ok
         assert gaps[0] == (0.0, 0.0)
         gap, rel = gaps[1]
@@ -780,7 +814,7 @@ class TestVerifyRelativeGate:
     def test_small_windows_keep_the_absolute_test(self):
         oracle = np.full((4, 1, 1), 0.5)
         closed = oracle + 2e-9
-        gaps, ok = _compare_windows(closed, oracle, [np.ones(4, dtype=bool)], 1e-9)
+        gaps, ok = _compare_windows(closed, oracle, [slice(0, 4)], 1e-9)
         assert not ok
         assert gaps[0][0] == gaps[0][1]
 

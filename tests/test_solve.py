@@ -23,7 +23,7 @@ from delaymat import (
     solve_discrete,
     validate_hypotheses,
 )
-from delaymat.errors import DegreeCapExceeded
+from delaymat.errors import DataMismatch, DegreeCapExceeded
 from delaymat.fundamental import BLOCK_WINDOWS
 from delaymat.generators import (
     random_discrete_scalar_data,
@@ -289,7 +289,7 @@ class TestDiscreteStructure:
         sys = random_system(rng, d, "discrete", entry_scale=0.5)
         hist, force = random_discrete_scalar_data(rng, sys, 20)
         x = solve_discrete(sys, hist, force, 20)
-        g = force.table(20, d)
+        g = force.values[:20]
         m = sys.m
         for u in range(20):
             lhs = x.at_time(u + 1) - x.at_time(u)
@@ -338,6 +338,106 @@ class TestDiscreteStructure:
             solve_discrete(ex2_system, ex2_history, forcing, 1100)
         u = int(re.search(r"u = (\d+)", str(err.value)).group(1))
         assert (u <= first) if forced else (u == first)
+
+
+class TestDataThatDoesNotFit:
+    """``continuous_data`` and ``discrete_data`` refuse data that does not
+    fit, with :class:`DataMismatch`, for the solvers and the oracles alike,
+    whether the data is wrapped in a spec or bare."""
+
+    DISCRETE = [solve_discrete, oracle.step_discrete]
+    CONTINUOUS = [solve_continuous, oracle.continuous_pieces]
+
+    @pytest.mark.parametrize("run", DISCRETE)
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("role", ["history", "forcing"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_discrete_data(
+        self, run, wrap, role, bad, ex2_system, ex2_history, ex2_forcing
+    ):
+        hist, g = ex2_history.values.copy(), ex2_forcing.values.copy()
+        if role == "history":
+            hist[0, 1, 0] = bad
+        else:
+            g[3, 0, 0] = bad
+        if wrap:
+            hist, g = HistorySpec.from_values(hist), ForcingSpec.from_values(g)
+        where = "u = -1" if role == "history" else "u = 3"
+        msg = f"^{role} holds a non-finite entry at {where}$"
+        with pytest.raises(DataMismatch, match=msg):
+            run(ex2_system, hist, g, 6)
+
+    @pytest.mark.parametrize("run", DISCRETE)
+    def test_non_finite_forcing_past_the_horizon_is_not_read(
+        self, run, ex2_system, ex2_history, ex2_forcing
+    ):
+        g = ex2_forcing.values.copy()
+        g[5] = np.nan
+        got = run(ex2_system, ex2_history, g, 5)
+        want = solve_discrete(ex2_system, ex2_history, ex2_forcing, 5)
+        np.testing.assert_array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("run", DISCRETE)
+    @pytest.mark.parametrize("role", ["history", "forcing"])
+    def test_a_piecewise_polynomial_for_a_discrete_system(
+        self, run, role, ex2_system, ex2_history, ex1_history
+    ):
+        data = {"history": ex2_history, "forcing": None}
+        data[role] = ex1_history.ppoly
+        with pytest.raises(DataMismatch, match=f"^{role} is PiecewiseMatrixPolynomial; "
+                           "a discrete system takes a table of matrices$"):
+            run(ex2_system, data["history"], data["forcing"], 4)
+
+    @pytest.mark.parametrize("run", CONTINUOUS)
+    @pytest.mark.parametrize("role", ["history", "forcing"])
+    def test_an_array_for_a_continuous_system(
+        self, run, role, ex1_system, ex1_history, ex2_history
+    ):
+        data = {"history": ex1_history, "forcing": None}
+        data[role] = ex2_history.values
+        with pytest.raises(DataMismatch, match=f"^{role} is ndarray; "
+                           "a continuous system takes a piecewise polynomial$"):
+            run(ex1_system, data["history"], data["forcing"], 2.0)
+
+    @pytest.mark.parametrize("run", DISCRETE)
+    def test_a_short_forcing_gets_one_message(
+        self, run, ex2_system, ex2_history, ex2_forcing
+    ):
+        short = ex2_forcing.values[:3]
+        messages = set()
+        for g in (short, ForcingSpec.from_values(short), short.tolist()):
+            with pytest.raises(DataMismatch) as err:
+                run(ex2_system, ex2_history, g, 5)
+            messages.add(str(err.value))
+        assert messages == {
+            "forcing must hold at least 5 2x2 matrices for u = 0 .. 4, "
+            "got shape (3, 2, 2)"
+        }
+
+    @pytest.mark.parametrize("run", DISCRETE)
+    def test_a_history_of_the_wrong_length_names_its_rows(
+        self, run, ex2_system, ex2_history
+    ):
+        long = np.concatenate([ex2_history.values, ex2_history.values[:1]])
+        for hist in (long, HistorySpec.from_values(long)):
+            with pytest.raises(DataMismatch, match=re.escape(
+                "history must hold 2 2x2 matrices for u = -1 .. 0, got shape (3, 2, 2)"
+            )):
+                run(ex2_system, hist, None, 4)
+
+    @pytest.mark.parametrize("run", DISCRETE)
+    @pytest.mark.parametrize("hist, msg", [
+        ([np.eye(2), np.eye(3)], "history is not a table of numbers"),
+        ([[["a", "b"], ["c", "d"]]] * 2, "history is not a table of numbers"),
+        (np.zeros((2, 3, 3)), re.escape(
+            "history must hold 2 2x2 matrices for u = -1 .. 0, got shape (2, 3, 3)"
+        )),
+    ])
+    def test_a_history_that_is_not_a_stack_of_d_by_d_matrices(
+        self, run, hist, msg, ex2_system
+    ):
+        with pytest.raises(DataMismatch, match=f"^{msg}$"):
+            run(ex2_system, hist, None, 4)
 
 
 def exact_double_loop(sys, hist, g):
