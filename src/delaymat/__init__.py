@@ -25,10 +25,13 @@ from .errors import (
     NonFiniteOutput,
     SchemaError,
 )
-from .fundamental import DiscreteFundamental, build_fundamental_continuous
+from .fundamental import (
+    DiscreteFundamental,
+    build_fundamental_continuous,
+    build_q_table,
+)
 from .oracle import IntegratorConfig, integrate_continuous, step_discrete
 from .ppoly import MAX_DEGREE, PiecewiseMatrixPolynomial, convolve_kernel
-from .qseq import build_q_table
 from .solve import (
     HypothesisReport,
     solve_continuous,

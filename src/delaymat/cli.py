@@ -36,10 +36,13 @@ import numpy as np
 
 from . import __version__
 from .errors import DataMismatch, DelayMatError, SchemaError
-from .fundamental import DiscreteFundamental, build_fundamental_continuous
+from .fundamental import (
+    DiscreteFundamental,
+    build_fundamental_continuous,
+    build_q_table,
+)
 from .generators import random_matrix_data, random_system
 from .oracle import continuous_pieces, step_discrete, window_gaps
-from .qseq import build_q_table
 from .serialize import (
     dump_json,
     load_forcing,
@@ -121,7 +124,8 @@ def build_parser():
     )
     solve.add_argument(
         "--step", type=float, default=None, metavar="DT",
-        help="output sampling step (continuous only)",
+        help="output sampling step (required for cont; refused for disc, "
+        "which writes every row)",
     )
     _add_output_flags(solve)
     _add_dump_flags(solve)
@@ -377,6 +381,9 @@ def _cmd_fundamental(args):
 
 def _cmd_solve(args):
     sys_ = load_system(args.system)
+    if not sys_.is_continuous and args.step is not None:
+        _flag_error("a discrete solve writes every row; --step is for "
+                    "continuous systems only", "--step")
     history = load_history(args.history, sys_)
     forcing = load_forcing(args.forcing, sys_) if args.forcing else None
     outputs = []

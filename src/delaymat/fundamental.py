@@ -8,7 +8,7 @@ is the polynomial
     Z(t) = sum_{r=0}^{u} q[r] (t - (r - 1) sigma)**r / r!
 
 with ``q[r] = L^r(I)`` the iterates of ``L(M) = A0 M + M A1``
-(:func:`~delaymat.qseq.build_q_table`) — a delayed matrix exponential
+(:func:`build_q_table`) — a delayed matrix exponential
 whose coefficients are the operator iterates instead of the powers of a
 single matrix (those coincide only when ``A0`` and ``A1`` commute, or
 when one of them vanishes).  :func:`build_fundamental_continuous` is the
@@ -33,7 +33,11 @@ would take ``u / (m + 1)`` terms, whose sizes can exceed the row's by
 many orders when they cancel.  The equation is shift-invariant, so the
 kernel restarts the sum every :data:`BLOCK_WINDOWS` delay windows from
 the last ``m + 1`` rows it has computed: every row takes at most that
-many terms, and a table of ``N`` rows costs ``O(N d**3)``.
+many terms, and a table of ``N`` rows costs ``O(N d**3)``.  The kernel
+holds its table as ``(rows, d, d)``, like every other discrete table,
+and applies ``L`` with one product per row, so for every ``d`` a row
+has the same bits whatever ``N``, and :meth:`DiscreteFundamental.table`
+and :meth:`DiscreteFundamental.value` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -43,13 +47,12 @@ import math
 
 import numpy as np
 
-from .errors import DegreeCapExceeded
+from .errors import DegreeCapExceeded, DimensionMismatch
+from .linalg import as_square_matrix
 from .ppoly import MAX_DEGREE, PiecewiseMatrixPolynomial, convolve_kernel
-from .qseq import (  # noqa: F401
-    build_q_table,  # unused here: perfbench/spans.py patches it
-)
 
 __all__ = [
+    "build_q_table",
     "build_fundamental_continuous",
     "DiscreteFundamental",
     "discrete_kernel",
@@ -60,6 +63,37 @@ log = logging.getLogger(__name__)
 #: Delay windows per block of :func:`discrete_kernel`: a row adds at most
 #: this many terms of the repeated sum.
 BLOCK_WINDOWS = 4
+
+
+def build_q_table(a0, a1, depth):
+    """Iterate ``q[r + 1] = A0 q[r] + q[r] A1`` from ``q[0] = I`` up to
+    ``q[depth]``, returned as one ``(depth + 1, d, d)`` array; an iterate
+    past the float range raises :class:`~delaymat.errors.DegreeCapExceeded`.
+
+    These are the coefficients of both fundamental solutions as the paper
+    writes them, and ``--dump-q`` writes them out; the solvers apply
+    ``L`` itself."""
+    a0 = as_square_matrix(a0, "a0")
+    a1 = as_square_matrix(a1, "a1")
+    if a0.shape != a1.shape:
+        raise DimensionMismatch(
+            f"a0 and a1 must match, got {a0.shape} and {a1.shape}"
+        )
+    depth = int(depth)
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    d = a0.shape[0]
+    mats = np.empty((depth + 1, d, d))
+    mats[0] = np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(depth):
+            mats[r + 1] = a0 @ mats[r] + mats[r] @ a1
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise DegreeCapExceeded(
+            f"q[{int(np.argmin(finite))}] of depth {depth} leaves the float range"
+        )
+    return mats
 
 
 def delay_windows(horizon, sigma):
@@ -127,9 +161,9 @@ class DiscreteFundamental:
         d = self.system.dim
         out = np.zeros((hi - lo + 1, d, d))
         if hi >= -m:
-            # each row sums its terms in the same order whatever the
-            # range, so table and value agree bit for bit
-            identity = np.eye(d)[None].repeat(m + 1, axis=0)
+            # a row has the same bits whatever the range, so table and
+            # value agree bit for bit
+            identity = np.broadcast_to(np.eye(d), (m + 1, d, d))
             no_forcing = np.zeros((max(hi, 0), d, d))
             z = discrete_kernel(
                 self.system.a0, self.system.a1, identity, no_forcing, m, name="Z"
@@ -157,37 +191,35 @@ def discrete_kernel(a0, a1, hist, g, m, name="X"):
     of the sum started at ``0``; in floats a row adds at most
     ``BLOCK_WINDOWS`` terms, in order of ``r``, so the cost is linear in
     ``N`` and no block runs long enough to cancel.  Blocks start at
-    fixed rows, so a row has the same bits whatever ``N``.  Raises
+    fixed rows and ``L`` is one product per row, so for every ``d`` a
+    row has the same bits whatever ``N``.  Raises
     :class:`~delaymat.errors.DegreeCapExceeded` naming the first row
     (``name(u)``) that leaves the float range.
     """
-    steps, d, w = g.shape[0], a0.shape[0], m + 1
-    # (d, d, rows) layout, column j holding u = j - m: A0 Theta is one
-    # (d, d) @ (d, d * n) product, Theta A1 one batch of d products, and
-    # each cumulative sum runs along the contiguous last axis
-    out = np.empty((d, d, steps + w))
-    out[:, :, :w] = np.transpose(hist, (1, 2, 0))
-    out[:, :, w:] = np.transpose(g, (1, 2, 0))
-    a1t = a1.T
+    steps, w = g.shape[0], m + 1
+    # row j holds u = j - m, as in every other discrete table
+    out = np.empty((steps + w,) + a0.shape)
+    out[:w] = hist
+    out[w:] = g
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, steps, BLOCK_WINDOWS * w):
             rows = min(BLOCK_WINDOWS * w, steps - t0) + w
-            # the block's row k is column t0 + k; Theta_0 from X(T0) on is
-            # the forcing columns summed in place
-            new = out[:, :, t0 + m : t0 + rows]
-            np.add.accumulate(new, axis=2, out=new)
-            theta = out[:, :, t0 : t0 + rows]
+            # Theta_0 from X(T0) on is the forcing rows summed in place
+            new = out[t0 + m : t0 + rows]
+            np.add.accumulate(new, axis=0, out=new)
+            theta = out[t0 : t0 + rows]
             for r in range(1, (rows - 1) // w + 1):
-                n = rows - r * w
-                theta = theta[:, :, :n]
-                image = (a0 @ theta.reshape(d, d * n)).reshape(d, d, n)
-                image += np.matmul(a1t, theta)
-                theta = np.add.accumulate(image, axis=2, out=image)
-                out[:, :, t0 + r * w : t0 + rows] += theta
-    finite = np.isfinite(out).all(axis=(0, 1))
+                theta = theta[: rows - r * w]
+                # one product per row, so a row's bits do not depend on
+                # how many rows share the call
+                image = a0 @ theta
+                image += theta @ a1
+                theta = np.add.accumulate(image, axis=0, out=image)
+                out[t0 + r * w : t0 + rows] += theta
+    finite = np.isfinite(out).all(axis=(1, 2))
     if not finite.all():
         u = int(np.argmin(finite)) - m
         raise DegreeCapExceeded(
             f"{name}(u) at u = {u} with delay m = {m} leaves the float range"
         )
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    return out

@@ -365,8 +365,9 @@ def ppoly_to_node(ppoly):
 
 
 def qtable_to_node(mats):
-    """The ``(depth + 1, d, d)`` table of :func:`~delaymat.qseq.build_q_table`
-    as ``{"kind": "qtable", "mats": [...]}``."""
+    """The ``(depth + 1, d, d)`` table of
+    :func:`~delaymat.fundamental.build_q_table` as ``{"kind": "qtable",
+    "mats": [...]}``."""
     return {"kind": "qtable", "mats": mats.tolist()}
 
 

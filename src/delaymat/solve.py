@@ -30,7 +30,9 @@ forcing to :func:`~delaymat.fundamental.discrete_kernel`, which restarts
 the sum every few delay windows, with the last ``m + 1`` rows it has
 computed as the history and the forcing from there on: the same rows in
 exact arithmetic, at most a few terms per row, no cancellation across
-a long horizon, and no binomial coefficients.
+a long horizon, and no binomial coefficients.  The kernel works in the
+``(rows, d, d)`` table it returns and applies ``L`` one row at a time,
+so a row has the same bits whatever ``n_steps``.
 
 When ``A1`` commutes with every history and forcing value, ``L^r`` acts
 on the data as ``q[r] = L^r(I)`` from the left, ``Theta_r = q[r]

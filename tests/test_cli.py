@@ -233,6 +233,15 @@ class TestSolveCommand:
                 err_msg=f"u={entry.u}",
             )
 
+    def test_discrete_step_is_refused(self, capsys, ex2_files):
+        # a discrete solve writes every row: --step is refused, not ignored
+        sys_path, hist_path, force_path = ex2_files
+        code, out, err = run_cli(
+            capsys, "solve", "--system", sys_path, "--history", hist_path,
+            "--forcing", force_path, "--to", "6", "--step", "1",
+        )
+        assert_flag_error(code, out, err, "--step")
+
     def test_discrete_rows_past_the_float_range_are_a_clean_error(
         self, capsys, ex2_files
     ):

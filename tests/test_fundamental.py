@@ -23,10 +23,10 @@ from delaymat import (
     fixtures,
 )
 from delaymat.errors import DegreeCapExceeded
+from delaymat.fundamental import build_q_table
 from delaymat.generators import random_system
 from delaymat.linalg import max_abs
 from delaymat.ppoly import MAX_DEGREE
-from delaymat.qseq import build_q_table
 from calculus import differentiate, knot_jumps
 
 
@@ -227,27 +227,27 @@ class TestDiscreteValues:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_table_equals_stacked_values(self, m):
         rng = np.random.default_rng(30 + m)
-        sys = DelaySystem(
-            a0=rng.uniform(-1.0, 1.0, size=(3, 3)),
-            a1=rng.uniform(-1.0, 1.0, size=(3, 3)),
-            delay=m,
-            kind="discrete",
-        )
-        fund = DiscreteFundamental(sys)
-        lo, hi = -m - 3, 40
-        table = fund.table(lo, hi)
-        assert table.shape == (hi - lo + 1, 3, 3)
-        # fresh instances, so neither side reads the other's caches
-        values = DiscreteFundamental(sys)
-        np.testing.assert_array_equal(
-            table, np.stack([values.value(u) for u in range(lo, hi + 1)])
-        )
-        for cut in ((lo, -m - 1), (-m, 0), (1, 1), (-1, 7), (5, 40)):
-            np.testing.assert_array_equal(
-                DiscreteFundamental(sys).table(*cut),
-                table[cut[0] - lo : cut[1] - lo + 1],
-                err_msg=f"table{cut}",
+        for d in (3, 4, 8, 32):
+            sys = DelaySystem(
+                a0=rng.uniform(-1.0, 1.0, size=(d, d)),
+                a1=rng.uniform(-1.0, 1.0, size=(d, d)),
+                delay=m,
+                kind="discrete",
             )
+            fund = DiscreteFundamental(sys)
+            lo, hi = -m - 3, 40
+            table = fund.table(lo, hi)
+            assert table.shape == (hi - lo + 1, d, d)
+            np.testing.assert_array_equal(
+                table, np.stack([fund.value(u) for u in range(lo, hi + 1)]),
+                err_msg=f"d={d}",
+            )
+            for cut in ((lo, -m - 1), (-m, 0), (1, 1), (-1, 7), (5, 40)):
+                np.testing.assert_array_equal(
+                    fund.table(*cut),
+                    table[cut[0] - lo : cut[1] - lo + 1],
+                    err_msg=f"d={d}, table{cut}",
+                )
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_table_follows_the_binomial_sum(self, m):

@@ -18,6 +18,7 @@ from delaymat import (
     solve_continuous,
 )
 from delaymat.errors import DegreeCapExceeded, DimensionMismatch
+from delaymat.fundamental import build_q_table
 from delaymat.generators import (
     random_scalar_forcing,
     random_scalar_history,
@@ -31,7 +32,6 @@ from delaymat.ppoly import (
     convolve_kernel,
     running_antiderivative,
 )
-from delaymat.qseq import build_q_table
 from delaymat.system import ForcingSpec, HistorySpec
 from calculus import (
     antiderivative, derivative, differentiate, knot_jumps, value, zero_poly,

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from delaymat.errors import DegreeCapExceeded, DimensionMismatch
+from delaymat.fundamental import build_q_table
 from delaymat.linalg import max_abs
 from commutative_reference import q_commutative_closed_form
-from delaymat.qseq import build_q_table
 
 
 def word_sum(a0, a1, r):

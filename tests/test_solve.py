@@ -531,6 +531,20 @@ class TestDiscreteConvolution:
                 size = max_abs(want[a : a + m + 1])
                 assert gap <= 1e-12 * size, (n_steps, a - m, gap / size)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 4, 8, 32])
+    def test_a_row_has_the_same_bits_whatever_the_horizon(self, d, m):
+        rng = np.random.default_rng([840, d, m])
+        sys = random_system(rng, d, "discrete", m=m, entry_scale=1.0 / d)
+        history, forcing = random_matrix_data(rng, sys, 200)
+        full = solve_discrete(sys, history, forcing, 200).values
+        block = BLOCK_WINDOWS * (m + 1)
+        for n_steps in (1, m, m + 1, block, block + 1, 37, 123, 199):
+            got = solve_discrete(sys, history, forcing, n_steps).values
+            np.testing.assert_array_equal(
+                got, full[: n_steps + m + 1], err_msg=f"N={n_steps}"
+            )
+
 
 def jump_problem(d):
     """A continuous system with matrix data that commutes with neither
