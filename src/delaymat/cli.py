@@ -2,14 +2,14 @@
 
 Subcommands::
 
-    delaymat fundamental --system sys.json --kind {cont,disc} \
-        [--from T0] --to T [--step DT] [--format csv|json] [--out PATH] \
-        [--dump-q PATH] [--dump-z PATH]
+    delaymat fundamental --system sys.json [--from T0] --to T|N \
+        [--step DT] [--format csv|json] [--out PATH] [--dump-q PATH] \
+        [--dump-z PATH]
     delaymat solve --system sys.json --history hist.json \
         [--forcing g.json] --to T|N [--step DT] [--format csv|json] \
-        [--out PATH] [--dump-q] [--dump-z]
+        [--out PATH]
     delaymat verify [--system ... --history ... [--forcing ...] | \
-        --random [--kind {cont,disc}] [--d D]] [--to T|N] [--seed S] \
+        --random [--kind {cont,disc}] [--d D] [--seed S]] [--to T|N] \
         [--tol X]
     delaymat example {1,2}
 
@@ -40,6 +40,7 @@ from .fundamental import (
     DiscreteFundamental,
     build_fundamental_continuous,
     build_q_table,
+    delay_windows,
 )
 from .generators import random_matrix_data, random_system
 from .oracle import continuous_pieces, step_discrete, window_gaps
@@ -97,20 +98,25 @@ def build_parser():
     )
     fund.add_argument("--system", required=True, metavar="FILE")
     fund.add_argument(
-        "--kind", required=True, choices=("cont", "disc"),
-        help="continuous or discrete fundamental solution",
-    )
-    fund.add_argument(
         "--from", dest="start", type=float, default=None, metavar="T0",
         help="first sample (default: left edge of the delay window)",
     )
-    fund.add_argument("--to", dest="stop", type=float, required=True, metavar="T")
+    fund.add_argument("--to", dest="stop", type=float, required=True, metavar="T|N")
     fund.add_argument(
         "--step", type=float, default=None, metavar="DT",
-        help="sampling step (required for cont; integer >= 1 for disc, default 1)",
+        help="sampling step (required for a continuous system; an integer "
+        ">= 1 for a discrete one, default 1)",
     )
     _add_output_flags(fund)
-    _add_dump_flags(fund)
+    fund.add_argument(
+        "--dump-q", default=None, metavar="PATH",
+        help="write the coefficient table q[0] .. q[r] as JSON, r the "
+        "delay windows that --to reaches",
+    )
+    fund.add_argument(
+        "--dump-z", default=None, metavar="PATH",
+        help="write the fundamental solution as JSON",
+    )
 
     solve = sub.add_parser(
         "solve", help="solve an initial value problem via the closed form"
@@ -128,7 +134,6 @@ def build_parser():
         "which writes every row)",
     )
     _add_output_flags(solve)
-    _add_dump_flags(solve)
 
     verify = sub.add_parser(
         "verify",
@@ -144,13 +149,15 @@ def build_parser():
         "instead of reading files",
     )
     verify.add_argument(
-        "--kind", choices=("cont", "disc"), default="cont",
+        "--kind", choices=("cont", "disc"), default=None,
         help="system family for --random (default cont)",
     )
     verify.add_argument(
-        "--d", type=int, default=2, help="dimension for --random (default 2)"
+        "--d", type=int, default=None, help="dimension for --random (default 2)"
     )
-    verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    verify.add_argument(
+        "--seed", type=int, default=None, help="RNG seed for --random (default 0)"
+    )
     verify.add_argument(
         "--to", dest="stop", type=float, default=None, metavar="T|N",
         help="horizon / step count (default: five delay windows)",
@@ -175,17 +182,6 @@ def _add_output_flags(sub):
     sub.add_argument("--out", default=None, metavar="PATH")
 
 
-def _add_dump_flags(sub):
-    sub.add_argument(
-        "--dump-q", default=None, metavar="PATH",
-        help="write the coefficient table q_r as JSON",
-    )
-    sub.add_argument(
-        "--dump-z", default=None, metavar="PATH",
-        help="write the fundamental solution as JSON",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
@@ -207,7 +203,7 @@ _FLOAT_FLAGS = {
 
 def _check_flags(args):
     """Refuse a float flag that is not finite (or not positive, where it
-    must be), and a ``--d`` below 1, before any data is read or drawn."""
+    must be) before any data is read or drawn."""
     for dest, (flag, positive) in _FLOAT_FLAGS.items():
         value = getattr(args, dest, None)
         if value is None:
@@ -215,8 +211,6 @@ def _check_flags(args):
         if not math.isfinite(value) or (positive and value <= 0):
             need = "positive and finite" if positive else "finite"
             _flag_error(f"{flag} must be {need}", flag)
-    if getattr(args, "d", 1) < 1:
-        _flag_error("--d must be at least 1", "--d")
 
 
 #: The most float64 entries numpy can describe in one array; it refuses
@@ -242,10 +236,10 @@ def _check_rows(rows, d, flag):
 
 
 def _step_count(value, sys_):
-    """``--to`` as a discrete step count: the rows ``-m - 1 .. N`` of the
-    solution and of ``--dump-z`` must fit in an array."""
+    """``--to`` as a discrete step count: the rows ``-m .. N`` of the
+    solution must fit in an array."""
     n_steps = _as_index(value, "--to")
-    _check_rows(n_steps + sys_.m + 2, sys_.dim, "--to")
+    _check_rows(n_steps + sys_.m + 1, sys_.dim, "--to")
     return n_steps
 
 
@@ -256,27 +250,15 @@ def _sample_times(start, stop, step, d):
     return start + step * np.arange(int(math.floor(spans + 1e-9)) + 1)
 
 
-def _discrete_z_table(sys_, us):
-    """``Z(u)`` at the ascending indices ``us`` (one table, then a slice)."""
-    first = int(us[0])
-    z = DiscreteFundamental(sys_).table(first, int(us[-1]))
-    return TrajectoryTable(
-        kind="discrete", times=us.astype(float), values=z[us - first]
-    )
-
-
-def _write_dumps(args, sys_, horizon, z_node, outputs):
-    """Write ``--dump-z`` (the node ``z_node()``, built only when asked
-    for) and ``--dump-q`` (the q table deep enough to reach ``horizon``,
-    a time for continuous systems or a step index for discrete ones)."""
+def _write_dumps(args, sys_, z, depth, outputs):
+    """Write ``--dump-z`` (``z``: the pieces of a continuous fundamental
+    solution, the sampled table of a discrete one) and ``--dump-q``
+    (``q[0] .. q[depth]``)."""
     if args.dump_z:
-        write_json(z_node(), args.dump_z)
+        to_node = ppoly_to_node if sys_.is_continuous else trajectory_to_node
+        write_json(to_node(z), args.dump_z)
         outputs.append(args.dump_z)
     if args.dump_q:
-        if sys_.is_continuous:
-            depth = max(1, int(math.ceil(horizon / sys_.sigma - 1e-12)))
-        else:
-            depth = max(1, -(-int(max(horizon, 1)) // (sys_.m + 1)))
         write_json(
             qtable_to_node(build_q_table(sys_.a0, sys_.a1, depth)), args.dump_q
         )
@@ -337,13 +319,6 @@ def _write_manifest(args, outputs, extra):
 
 def _cmd_fundamental(args):
     sys_ = load_system(args.system)
-    want = "continuous" if args.kind == "cont" else "discrete"
-    if sys_.kind != want:
-        raise SchemaError(
-            f"system kind is {sys_.kind!r} but --kind asked for {want!r}",
-            location=f"{args.system}: /kind",
-        )
-    outputs = []
     if sys_.is_continuous:
         if args.step is None:
             _flag_error("continuous sampling needs --step", "--step")
@@ -352,10 +327,8 @@ def _cmd_fundamental(args):
             _flag_error(f"--from {start} must lie left of --to {args.stop}", "--from")
         z = build_fundamental_continuous(sys_, args.stop)
         times = _sample_times(start, args.stop, args.step, sys_.dim)
-        table = TrajectoryTable(
-            kind="continuous", times=times, values=z.eval(times)
-        )
-        _write_dumps(args, sys_, args.stop, lambda: ppoly_to_node(z), outputs)
+        table = TrajectoryTable(kind="continuous", times=times, values=z.eval(times))
+        depth = delay_windows(args.stop, sys_.sigma)
     else:
         m = sys_.m
         stop = _as_index(args.stop, "--to")
@@ -370,10 +343,14 @@ def _cmd_fundamental(args):
         # Z is computed on the rows -m .. stop, and kept on start .. stop
         _check_rows(stop + m + 1, sys_.dim, "--to")
         _check_rows(stop - start + 1, sys_.dim, "--from")
-        table = _discrete_z_table(sys_, np.arange(start, stop + 1, step))
-        _write_dumps(
-            args, sys_, stop, lambda: trajectory_to_node(table), outputs
+        us = np.arange(start, stop + 1, step)
+        values = DiscreteFundamental(sys_).table(start, stop)[us - start]
+        z = table = TrajectoryTable(
+            kind="discrete", times=us.astype(float), values=values
         )
+        depth = -(-stop // (m + 1))
+    outputs = []
+    _write_dumps(args, sys_, z, depth, outputs)
     _emit_table(args, table, {}, outputs)
     _write_manifest(args, outputs, {})
     return 0
@@ -386,46 +363,38 @@ def _cmd_solve(args):
                     "continuous systems only", "--step")
     history = load_history(args.history, sys_)
     forcing = load_forcing(args.forcing, sys_) if args.forcing else None
-    outputs = []
     report = validate_hypotheses(sys_, history, forcing)
     if sys_.is_continuous:
         if args.step is None:
             _flag_error("continuous output sampling needs --step", "--step")
         x = solve_continuous(sys_, history, forcing, args.stop)
         times = _sample_times(-sys_.sigma, args.stop, args.step, sys_.dim)
-        table = TrajectoryTable(
-            kind="continuous", times=times, values=x.eval(times)
-        )
-        z_end = args.stop + sys_.sigma
-        _write_dumps(
-            args, sys_, z_end,
-            lambda: ppoly_to_node(build_fundamental_continuous(sys_, z_end)),
-            outputs,
-        )
+        table = TrajectoryTable(kind="continuous", times=times, values=x.eval(times))
     else:
-        n_steps = _step_count(args.stop, sys_)
-        table = solve_discrete(sys_, history, forcing, n_steps)
-        us = np.arange(-(sys_.m + 1), n_steps + 1)
-        _write_dumps(
-            args, sys_, n_steps,
-            lambda: trajectory_to_node(_discrete_z_table(sys_, us)),
-            outputs,
-        )
+        table = solve_discrete(sys_, history, forcing, _step_count(args.stop, sys_))
     # informational: whether the paper's q-form applies term by term
     extra = {"hypothesis_check": report.summary(), "hypothesis_ok": report.ok}
+    outputs = []
     _emit_table(args, table, extra, outputs)
     _write_manifest(args, outputs, extra)
     return 0
 
 
-def _verify_inputs(args, rng):
+def _verify_inputs(args):
     """System + data for `verify`, either from files or seeded random."""
     if args.random:
-        kind = "continuous" if args.kind == "cont" else "discrete"
-        sys_ = random_system(rng, args.d, kind, entry_scale=1.0 / args.d)
+        d = 2 if args.d is None else args.d
+        if d < 1:
+            _flag_error("--d must be at least 1", "--d")
+        rng = np.random.default_rng(0 if args.seed is None else args.seed)
+        kind = "discrete" if args.kind == "disc" else "continuous"
+        sys_ = random_system(rng, d, kind, entry_scale=1.0 / d)
         horizon = _verify_horizon(args, sys_)
         history, forcing = random_matrix_data(rng, sys_, horizon)
         return sys_, history, forcing, horizon
+    for flag in ("--kind", "--d", "--seed"):
+        if getattr(args, flag[2:]) is not None:
+            _flag_error(f"{flag} applies only with --random", flag)
     if not (args.system and args.history):
         _flag_error("verify needs --system and --history, or --random", "--system")
     sys_ = load_system(args.system)
@@ -442,8 +411,7 @@ def _verify_horizon(args, sys_):
 
 
 def _cmd_verify(args):
-    rng = np.random.default_rng(args.seed)
-    sys_, history, forcing, horizon = _verify_inputs(args, rng)
+    sys_, history, forcing, horizon = _verify_inputs(args)
     if sys_.is_continuous:
         tol = 1e-10 if args.tol is None else args.tol
         x = solve_continuous(sys_, history, forcing, horizon)

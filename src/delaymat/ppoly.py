@@ -446,9 +446,9 @@ def convolve_kernel(a0, a1, sigma, phi0, lo, hi):
     theta, spare, image = np.zeros((3, last + 1, n, d, d))
     for k, c in enumerate(phi0.pieces):
         theta[k, : c.shape[0]] = c
-    powers = _width_powers(np.diff(bks), n - 1)
     base_degree = n - 1 - windows
     with np.errstate(over="ignore", invalid="ignore"):
+        powers = _width_powers(np.diff(bks), n - 1)
         for r, first in enumerate(firsts):
             # Theta_r has degree base_degree + r at most
             m = base_degree + r + 1

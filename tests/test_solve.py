@@ -595,3 +595,19 @@ class TestGeneralContinuousData:
             exact = np.array(exact, dtype=float)
             gap = max_abs(x.eval(np.array(ts)) - exact)
             assert gap <= 1e-13 * max(max_abs(exact), 1.0), (w, gap)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_long_delay_warns_of_no_overflow(self, seed):
+        # the forcing piece is 6e5 wide, so its high powers pass the float
+        # range although no coefficient of the solution does
+        sigma = 1e4
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, 2, "continuous", sigma=sigma, entry_scale=0.5 / sigma)
+        horizon = 60 * sigma
+        cubics = rng.uniform(-1.0, 1.0, (2, 1, 4, 2, 2))
+        history = PiecewiseMatrixPolynomial([-sigma, 0.0], cubics[0])
+        forcing = PiecewiseMatrixPolynomial([0.0, horizon], cubics[1])
+        x = solve_continuous(sys, history, forcing, horizon)
+        pieces = oracle.continuous_pieces(sys, history, forcing, horizon)
+        assert max(rel for _, rel in oracle.window_gaps(pieces, x, horizon)) <= 1e-10
