@@ -140,30 +140,58 @@ class TestFundamentalCommand:
 
     def test_dump_q_and_dump_z(self, capsys, tmp_path, ex1_files, ex1_system):
         sys_path, _, _ = ex1_files
-        for stop in (3, 4):
-            qnode, znode = run_with_dumps(
-                capsys, tmp_path, "fundamental", "--system", sys_path,
-                "--to", str(stop), "--step", "0.5",
-            )
-            # q[0] .. q[stop], one iterate per delay window up to --to
-            a0, a1 = ex1_system.a0, ex1_system.a1
-            assert_q_table(qnode, ex1_system, stop)
-            assert qnode == qtable_to_node(build_q_table(a0, a1, stop))
-            np.testing.assert_array_equal(qnode["mats"][1], a0 + a1)
-            assert znode == ppoly_to_node(build_fundamental_continuous(ex1_system, stop))
-            assert znode["breakpoints"][0] == -1.0
+        qnode, znode = run_with_dumps(
+            capsys, tmp_path, "fundamental", "--system", sys_path,
+            "--to", "3", "--step", "0.5",
+        )
+        # q[0] .. q[3], one iterate per delay window up to --to
+        assert_q_table(qnode, ex1_system, 3)
+        np.testing.assert_array_equal(qnode["mats"][1], ex1_system.a0 + ex1_system.a1)
+        assert znode == ppoly_to_node(build_fundamental_continuous(ex1_system, 3.0))
+        assert znode["breakpoints"][0] == -1.0
 
     def test_discrete_dump_q_and_dump_z(self, capsys, tmp_path, ex2_files, ex2_system):
         sys_path, _, _ = ex2_files
-        for stop in (5, 6):
-            qnode, znode = run_with_dumps(
-                capsys, tmp_path, "fundamental", "--system", sys_path, "--to", str(stop),
-            )
-            assert_q_table(qnode, ex2_system, 3)  # ceil(stop / (m + 1)), m = 1
-            assert_discrete_z_table(znode, ex2_system, -2, stop)
+        qnode, znode = run_with_dumps(
+            capsys, tmp_path, "fundamental", "--system", sys_path, "--to", "6",
+        )
+        assert_q_table(qnode, ex2_system, 3)  # ceil(6 / (m + 1)), m = 1
+        assert_discrete_z_table(znode, ex2_system, -2, 6)
 
 
 class TestSolveCommand:
+    def test_continuous_dump_q_and_dump_z(self, capsys, tmp_path, ex1_files, ex1_system):
+        # a solve to T needs Z one delay past the horizon; `fundamental
+        # --to T + sigma` writes that Z and its q
+        sys_path, hist_path, force_path = ex1_files
+        code, _, _ = run_cli(
+            capsys, "solve", "--system", sys_path, "--history", hist_path,
+            "--forcing", force_path, "--to", "3", "--step", "0.5",
+        )
+        assert code == 0
+        qnode, znode = run_with_dumps(
+            capsys, tmp_path, "fundamental", "--system", sys_path,
+            "--to", "4", "--step", "0.5",
+        )
+        assert_q_table(qnode, ex1_system, 4)
+        assert qnode == qtable_to_node(build_q_table(ex1_system.a0, ex1_system.a1, 4))
+        assert znode == ppoly_to_node(build_fundamental_continuous(ex1_system, 4.0))
+
+    def test_discrete_dump_q_and_dump_z(self, capsys, tmp_path, ex2_files, ex2_system):
+        # a discrete solve to N reads Z(-m - 1) .. Z(N); `fundamental --to N`
+        # writes those rows and their q
+        sys_path, hist_path, force_path = ex2_files
+        code, _, _ = run_cli(
+            capsys, "solve", "--system", sys_path, "--history", hist_path,
+            "--forcing", force_path, "--to", "5",
+        )
+        assert code == 0
+        qnode, znode = run_with_dumps(
+            capsys, tmp_path, "fundamental", "--system", sys_path, "--to", "5",
+        )
+        assert_q_table(qnode, ex2_system, 3)
+        assert_discrete_z_table(znode, ex2_system, -2, 5)
+
     @pytest.mark.parametrize("flag", ["--dump-q", "--dump-z"])
     def test_dump_flags_are_refused(self, capsys, tmp_path, ex1_files, flag):
         # Z and q are written by `fundamental`; a solve builds neither
