@@ -38,9 +38,14 @@ binomial comes from one small float Pascal table built at import, and
 every re-expansion of a polynomial at another point (:func:`_shift`) is
 one product with a binomial-power matrix, built from the powers of the
 shift by one gather through a fixed table of exponents and one in-place
-product with the Pascal table.  Evaluation sorts the times once and
-fills each piece's contiguous run in place with one power-table
-contraction (see :func:`_power_sum`).
+product with the Pascal table.
+
+Evaluation sorts the times once, builds one power table for all of
+them and fills each piece's contiguous run in place with BLAS products
+of exactly :data:`_TILE` rows (see :func:`_tile_products`).  Every row
+meets a product of the shape and strides a scalar call at its time
+would use, so its bits do not depend on the batch it is evaluated in:
+a row of a batched evaluation is the scalar call.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ __all__ = [
 
 #: Largest supported polynomial degree per segment.
 MAX_DEGREE = 64
+
+#: Rows per BLAS product in evaluation (see :func:`_tile_products`).
+_TILE = 64
 
 #: ``_PASCAL[n, k] = C(n, k)`` as floats (zero for ``k > n``), for every
 #: binomial the re-expansions use.
@@ -83,29 +91,62 @@ def _shift_matrices(s, n):
 
     Three steps: the powers ``s**e``, one gather through :data:`_SPAN`
     and an in-place product with the Pascal table.  The gather fills an
-    ``(n, n, len(s))`` array and ``S`` is its transposed view: with more
-    than one shift, ``S @ c`` then runs in numpy's own fixed-order loop
-    rather than BLAS, so its bits do not depend on the BLAS build."""
+    ``(n, n, len(s))`` array and ``S`` is its transposed view, which
+    numpy multiplies in its own loop rather than through BLAS.  That
+    does not make a solve's bits independent of the BLAS build:
+    :func:`convolve_kernel` applies ``L`` with BLAS products
+    (``np.matmul(a0, live)`` and ``live @ a1``), whose sums differ from
+    a fixed-order sum in many entries at every ``d >= 2``."""
     powers = np.asarray(s, dtype=float)[:, None] ** np.arange(n)
     gathered = powers.T.take(_SPAN[:n, :n], axis=0)
     gathered *= _PASCAL[:n, :n].T[:, :, None]
     return gathered.transpose(2, 0, 1)
 
 
+def _tile_products(x, width, runs, out):
+    """``out[p] = sum_j coeffs[j] x[p]**j`` for the rows ``p`` in
+    ``lo:hi`` of every ``(coeffs, lo, hi)`` in ``runs``, where ``coeffs``
+    is an ``(n, d, d)`` stack with ``n <= width`` and ``out`` a
+    C-contiguous ``(len(x), d, d)`` array that receives the values in
+    place.
+
+    One power table ``x**0 .. x**(width - 1)`` by repeated products
+    (``np.vander``) serves every run: a run with ``n`` coefficients reads
+    its first ``n`` columns.  Each run is multiplied by its ``(n, d*d)``
+    coefficients in BLAS products of exactly :data:`_TILE` rows, read
+    from one zeroed ``(_TILE, width)`` buffer.  A full tile writes
+    straight into ``out``; the last, partial one goes through a
+    temporary.  Every row thus meets a product of one shape and one set
+    of strides, and a GEMM of one shape computes each output element
+    with the same arithmetic wherever its row sits, so a row's bits do
+    not depend on the rows evaluated with it.  Values past the float
+    range come back as ``inf`` or ``nan`` without a warning."""
+    rows, d, _ = out.shape
+    flat = out.reshape(rows, d * d)
+    tile = np.zeros((_TILE, width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.vander(x, width, increasing=True)
+        for coeffs, lo, hi in runs:
+            n = coeffs.shape[0]
+            c = coeffs.reshape(n, -1)
+            a = tile[:, :n]
+            for s in range(lo, hi, _TILE):
+                e = min(s + _TILE, hi)
+                a[: e - s] = table[s:e, :n]
+                if e - s == _TILE:
+                    np.matmul(a, c, out=flat[s:e])
+                else:
+                    flat[s:e] = (a @ c)[: e - s]
+
+
 def _power_sum(coeffs, t, out):
-    """``out[p] = sum_j coeffs[j] t[p]**j``: the power table ``t**j``
-    contracted with the ``(n, d, d)`` stack in one fixed-order ``einsum``,
-    never through BLAS, whose blocking depends on the batch size, so every
-    row is bit-identical to a scalar call.  ``out`` is a C-contiguous
-    ``(len(t), d, d)`` array and receives the values in place."""
-    n, d, _ = coeffs.shape
-    np.einsum(
-        "pk,kj->pj",
-        np.vander(t, n, increasing=True),
-        coeffs.reshape(n, d * d),
-        optimize=False,
-        out=out.reshape(t.size, d * d),
-    )
+    """``out[p] = sum_j coeffs[j] t[p]**j`` for the ``(n, d, d)`` stack
+    ``coeffs``, through the same tiles as
+    :meth:`PiecewiseMatrixPolynomial.eval` (see :func:`_tile_products`),
+    so every row is bit-identical to a scalar call.  ``out`` is a
+    C-contiguous ``(len(t), d, d)`` array and receives the values in
+    place."""
+    _tile_products(t, coeffs.shape[0], [(coeffs, 0, t.size)], out)
 
 
 def _shift(c, s):
@@ -265,12 +306,18 @@ class PiecewiseMatrixPolynomial:
 
         In sorted times each piece owns one contiguous run, which starts
         at the first time that belongs to it: ``t >= breakpoints[k]`` for
-        :meth:`eval`, ``t > breakpoints[k]`` for :meth:`eval_left`.  Each
-        run is evaluated in place at its local times ``t - breakpoints[k]``;
-        unsorted input is sorted once (stably) and scattered back at the
-        end.
+        :meth:`eval`, ``t > breakpoints[k]`` for :meth:`eval_left`.  One
+        ``searchsorted`` finds the runs, and every row past the constant
+        left region is evaluated in place at its local time ``t -
+        breakpoints[k]``, from one power table in fixed-shape BLAS tiles
+        (:func:`_tile_products`); unsorted input is sorted once (stably)
+        and scattered back at the end.
         """
         t = np.asarray(t, dtype=float)
+        if t.ndim > 1:
+            raise ValueError(
+                f"times must be a scalar or a 1-D array, got shape {t.shape}"
+            )
         scalar = t.ndim == 0
         ts = np.atleast_1d(t)
         order = None
@@ -279,13 +326,15 @@ class PiecewiseMatrixPolynomial:
             ts = ts[order]
         d = self.dim
         out = np.empty((ts.size, d, d))
-        cuts = np.searchsorted(ts, self.breakpoints[:-1], side=side)
-        out[: cuts[0]] = self.left_value
-        for piece, origin, lo, hi in zip(
-            self.pieces, self.breakpoints, cuts, [*cuts[1:], ts.size]
-        ):
-            if hi > lo:
-                _power_sum(piece, ts[lo:hi] - origin, out[lo:hi])
+        bp = self.breakpoints[:-1]
+        cuts = np.searchsorted(ts, bp, side=side)
+        first = cuts[0]
+        out[:first] = self.left_value
+        ends = [*cuts[1:], ts.size]
+        local = ts[first:] - np.repeat(bp, np.subtract(ends, cuts))
+        runs = [(c, lo - first, hi - first)
+                for c, lo, hi in zip(self.pieces, cuts, ends) if hi > lo]
+        _tile_products(local, self.degree + 1, runs, out[first:])
         if order is not None:
             sorted_out, out = out, np.empty_like(out)
             out[order] = sorted_out

@@ -4,6 +4,7 @@ basis, calculus, algebra, and the convolution by repeated integration."""
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,22 @@ class TestEvaluationSemantics:
         with pytest.raises(DimensionMismatch):
             PiecewiseMatrixPolynomial([0.0, 1.0], [np.ones((0, 1, 1))])
 
+    @pytest.mark.parametrize("name", ["eval", "eval_left"])
+    def test_times_of_more_than_one_dimension_are_refused(self, name):
+        p = PiecewiseMatrixPolynomial([0.0, 1.0], [np.ones((2, 2, 2))])
+        with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+            getattr(p, name)(np.array([[0.25, 0.5]]))
+
+    def test_overflowing_values_come_back_as_inf_quietly(self):
+        # 1e308 + 0.9e308 overflows in the product with the coefficients,
+        # 1e200**2 already in the power table
+        p = PiecewiseMatrixPolynomial([0.0, 1.0], [np.full((2, 2, 2), 1e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("eval", "eval_left"):
+                got = getattr(p, name)(np.array([0.9, 1e200]))
+                assert np.all(got == np.inf), name
+
 
 class TestBatchIndependentEvaluation:
     """A row of a batched evaluation is the scalar call, whatever the
@@ -236,6 +253,29 @@ class TestBatchIndependentEvaluation:
                 )
             np.testing.assert_array_equal(getattr(p, name)(np.sort(ts)),
                                           stacked[np.argsort(ts, kind="stable")])
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 32])
+    def test_mixed_degrees_across_tile_edges(self, d):
+        # pieces of degree 0 to 29 in one polynomial of degree 29, so most
+        # read only the first columns of the power table; their runs of 1,
+        # 63, 64, 65 and 200 rows end inside, on and just past a tile
+        rng = np.random.default_rng(340 + d)
+        degrees = [0, 29, *rng.integers(1, 29, size=3)]
+        runs = rng.permutation([1, 63, 64, 65, 200])
+        bks = np.arange(6.0) - 2.0
+        p = PiecewiseMatrixPolynomial(
+            bks, [rng.uniform(-1.0, 1.0, size=(n + 1, d, d)) for n in degrees],
+            left_value=rng.uniform(-1.0, 1.0, size=(d, d)),
+        )
+        assert p.degree == 29
+        ts = np.concatenate([rng.uniform(lo, lo + 1.0, size=r) for lo, r in zip(bks, runs)])
+        ts = rng.permutation(np.concatenate([ts, [-3.0]]))
+        for name in ("eval", "eval_left"):
+            stacked = getattr(p, name)(ts)
+            for i, t in enumerate(ts):
+                np.testing.assert_array_equal(
+                    stacked[i], getattr(p, name)(t), err_msg=f"{name} at t={t}"
+                )
 
     def test_knots_pick_the_documented_side(self):
         rng = np.random.default_rng(311)
