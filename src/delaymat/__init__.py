@@ -25,15 +25,12 @@ from .errors import (
     NonFiniteOutput,
     SchemaError,
 )
-from .fundamental import (
-    DiscreteFundamental,
-    build_fundamental_continuous,
-    build_q_table,
-)
+from .fundamental import DiscreteFundamental, build_q_table
 from .oracle import IntegratorConfig, integrate_continuous, step_discrete
 from .ppoly import MAX_DEGREE, PiecewiseMatrixPolynomial, convolve_kernel
 from .solve import (
     HypothesisReport,
+    build_fundamental_continuous,
     solve_continuous,
     solve_discrete,
     validate_hypotheses,

@@ -15,8 +15,9 @@ Subcommands::
 
 Exit codes: 0 success; 1 a failed tolerance, a solution that leaves
 the float range or the degree cap, or an array too large to allocate;
-2 schema violation, or data that does not fit the system or the
-horizon (with a file-, line- or pointer-anchored message on stderr).
+2 schema violation, data that does not fit the system or the horizon
+(with a file-, line- or pointer-anchored message on stderr), or an
+output path that cannot be opened (naming its flag).
 When the first output is a regular file, the effective configuration
 is echoed into a ``run-manifest.json`` next to it.  The environment
 variable ``DELAYMAT_LOG`` in {error, info, debug} controls log
@@ -30,18 +31,14 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import DataMismatch, DelayMatError, SchemaError
-from .fundamental import (
-    DiscreteFundamental,
-    build_fundamental_continuous,
-    build_q_table,
-    delay_windows,
-)
+from .errors import DataMismatch, DelayMatError, SchemaError, UnwritablePath
+from .fundamental import DiscreteFundamental, build_q_table
 from .generators import random_matrix_data, random_system
 from .oracle import continuous_pieces, step_discrete, window_gaps
 from .serialize import (
@@ -56,7 +53,13 @@ from .serialize import (
     write_json,
     write_trajectory_csv,
 )
-from .solve import solve_continuous, solve_discrete, validate_hypotheses
+from .solve import (
+    build_fundamental_continuous,
+    delay_windows,
+    solve_continuous,
+    solve_discrete,
+    validate_hypotheses,
+)
 from .system import TrajectoryTable
 
 __all__ = ["build_parser", "main"]
@@ -250,25 +253,36 @@ def _sample_times(start, stop, step, d):
     return start + step * np.arange(int(math.floor(spans + 1e-9)) + 1)
 
 
+@contextmanager
+def _output(flag):
+    """Refuse an output path that cannot be opened as a ``flag`` error."""
+    try:
+        yield
+    except UnwritablePath as exc:
+        _flag_error(str(exc), flag)
+
+
 def _write_dumps(args, sys_, z, depth, outputs):
     """Write ``--dump-z`` (``z``: the pieces of a continuous fundamental
     solution, the sampled table of a discrete one) and ``--dump-q``
     (``q[0] .. q[depth]``)."""
     if args.dump_z:
         to_node = ppoly_to_node if sys_.is_continuous else trajectory_to_node
-        write_json(to_node(z), args.dump_z)
+        with _output("--dump-z"):
+            write_json(to_node(z), args.dump_z)
         outputs.append(args.dump_z)
     if args.dump_q:
-        write_json(
-            qtable_to_node(build_q_table(sys_.a0, sys_.a1, depth)), args.dump_q
-        )
+        with _output("--dump-q"):
+            write_json(
+                qtable_to_node(build_q_table(sys_.a0, sys_.a1, depth)), args.dump_q
+            )
         outputs.append(args.dump_q)
 
 
 def _emit_table(args, table, json_extra, outputs):
     if args.format == "csv":
         if args.out:
-            with replace_on_success(args.out) as fh:
+            with _output("--out"), replace_on_success(args.out) as fh:
                 write_trajectory_csv(table, fh)
             outputs.append(args.out)
         else:
@@ -277,7 +291,8 @@ def _emit_table(args, table, json_extra, outputs):
     node = trajectory_to_node(table)
     node.update(json_extra)
     if args.out:
-        write_json(node, args.out)
+        with _output("--out"):
+            write_json(node, args.out)
         outputs.append(args.out)
     else:
         dump_json(node, sys.stdout)

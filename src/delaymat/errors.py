@@ -30,6 +30,11 @@ class NonFiniteOutput(DelayMatError, ValueError):
     names the key or row."""
 
 
+class UnwritablePath(DelayMatError):
+    """An output path cannot be opened for writing; the message names
+    the path as given."""
+
+
 class SchemaError(DelayMatError):
     """An input file does not match the documented schema.
 

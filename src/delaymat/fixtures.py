@@ -37,9 +37,9 @@ from fractions import Fraction as F
 import numpy as np
 
 from . import oracle
-from .fundamental import DiscreteFundamental, build_fundamental_continuous
+from .fundamental import DiscreteFundamental
 from .ppoly import PiecewiseMatrixPolynomial
-from .solve import solve_continuous, solve_discrete
+from .solve import build_fundamental_continuous, solve_continuous, solve_discrete
 from .system import DelaySystem, ForcingSpec, HistorySpec
 
 __all__ = [

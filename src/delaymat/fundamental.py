@@ -1,22 +1,16 @@
-"""Fundamental solutions of the two delay equation families.
+"""The coefficient table ``q`` and the discrete fundamental solution.
 
-The continuous fundamental solution ``Z`` solves ``Z'(t) = A0 Z(t -
-sigma) + Z(t - sigma) A1`` with ``Z = 0`` below ``-sigma`` and ``Z = I``
-on ``[-sigma, 0)``.  On each delay window ``[(u-1) sigma, u sigma)`` it
-is the polynomial
+``q[r] = L^r(I)`` are the iterates of ``L(M) = A0 M + M A1``
+(:func:`build_q_table`).  On the delay window ``[(u-1) sigma, u sigma)``
+the continuous fundamental solution is the polynomial
 
-    Z(t) = sum_{r=0}^{u} q[r] (t - (r - 1) sigma)**r / r!
+    Z(t) = sum_{r=0}^{u} q[r] (t - (r - 1) sigma)**r / r!,
 
-with ``q[r] = L^r(I)`` the iterates of ``L(M) = A0 M + M A1``
-(:func:`build_q_table`) — a delayed matrix exponential
-whose coefficients are the operator iterates instead of the powers of a
-single matrix (those coincide only when ``A0`` and ``A1`` commute, or
-when one of them vanishes).  :func:`build_fundamental_continuous` is the
-case ``Theta_0 = I`` of the solver's repeated sum
-:func:`~delaymat.ppoly.convolve_kernel`: there ``Theta_r`` is ``q[r]``
-times the ``r``-fold integral of 1, so window ``u`` is stored in its
-local variable ``tau = t - (u-1) sigma`` as ``sum_r q[r] (tau + (u - r)
-sigma)**r / r!``.
+a delayed matrix exponential whose coefficients are the operator
+iterates instead of the powers of a single matrix (those coincide only
+when ``A0`` and ``A1`` commute, or when one of them vanishes).  ``Z`` is
+the solution with history ``I`` and no forcing, so the solver builds it
+(:func:`~delaymat.solve.build_fundamental_continuous`).
 
 The discrete fundamental solution solves ``ΔZ(u) = A0 Z(u - m) +
 Z(u - m) A1`` with ``Z = 0`` for ``u <= -m - 1`` and ``Z = I`` for
@@ -42,23 +36,16 @@ and :meth:`DiscreteFundamental.value` agree bit for bit.
 
 from __future__ import annotations
 
-import logging
-import math
-
 import numpy as np
 
 from .errors import DegreeCapExceeded, DimensionMismatch
 from .linalg import as_square_matrix
-from .ppoly import MAX_DEGREE, PiecewiseMatrixPolynomial, convolve_kernel
 
 __all__ = [
     "build_q_table",
-    "build_fundamental_continuous",
     "DiscreteFundamental",
     "discrete_kernel",
 ]
-
-log = logging.getLogger(__name__)
 
 #: Delay windows per block of :func:`discrete_kernel`: a row adds at most
 #: this many terms of the repeated sum.
@@ -94,45 +81,6 @@ def build_q_table(a0, a1, depth):
             f"q[{int(np.argmin(finite))}] of depth {depth} leaves the float range"
         )
     return mats
-
-
-def delay_windows(horizon, sigma):
-    """The number ``U = ceil(horizon / sigma)`` (at least 1) of delay
-    windows that cover ``[0, horizon]``.  Each window adds one polynomial
-    degree, so more than :data:`~delaymat.ppoly.MAX_DEGREE` of them raise
-    :class:`~delaymat.errors.DegreeCapExceeded`."""
-    spans = horizon / sigma - 1e-12
-    if spans > MAX_DEGREE:
-        raise DegreeCapExceeded(
-            f"horizon {horizon:g} spans more than {MAX_DEGREE} delay windows "
-            f"of {sigma:g}; the degree cap allows at most {MAX_DEGREE}"
-        )
-    return max(1, math.ceil(spans))
-
-
-def build_fundamental_continuous(sys, horizon):
-    """The continuous fundamental solution as a piecewise polynomial
-    covering ``[-sigma, U sigma)`` with ``U = ceil(horizon / sigma)``.
-
-    Evaluation below ``-sigma`` returns the zero matrix; the last window
-    extends polynomially past the horizon.
-    """
-    if not sys.is_continuous:
-        raise ValueError("build_fundamental_continuous needs a continuous system")
-    horizon = float(horizon)
-    if not np.isfinite(horizon) or horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    sigma = sys.sigma
-    d = sys.dim
-    windows = delay_windows(horizon, sigma)
-    log.debug(
-        "fundamental(continuous): d=%d sigma=%g windows=%d", d, sigma, windows
-    )
-    # Z(t) = sum_r Theta_r(t - r sigma) with Theta_0 = I from -sigma on
-    identity = PiecewiseMatrixPolynomial(
-        [-sigma, windows * sigma], np.eye(d)[None, None], right_extension=True
-    )
-    return convolve_kernel(sys.a0, sys.a1, sigma, identity, -sigma, windows * sigma)
 
 
 class DiscreteFundamental:

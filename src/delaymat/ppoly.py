@@ -210,7 +210,7 @@ class PiecewiseMatrixPolynomial:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.isfinite(bp)):
             raise ValueError("breakpoints must be finite")
-        if not np.all(np.diff(bp) > 0):
+        if not np.all(bp[1:] > bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         if isinstance(pieces, np.ndarray) and pieces.ndim == 4:
             stack = np.asarray(pieces, dtype=float)
@@ -290,26 +290,13 @@ class PiecewiseMatrixPolynomial:
 
     def eval(self, t):
         """Evaluate at a scalar or 1-D array of times; total on the
-        reals per the extension rules above."""
-        return self._eval(t, "left")
-
-    def eval_left(self, t):
-        """Left-limit evaluation: at a breakpoint this returns the value
-        of the piece to the *left* (elsewhere it matches :meth:`eval`).
-        Quadrature that closes a subinterval at a knot where the data
-        jumps needs this one-sided value."""
-        return self._eval(t, "right")
-
-    def _eval(self, t, side):
-        """Shared body of :meth:`eval` (``side="left"``) and
-        :meth:`eval_left` (``side="right"``).
+        reals per the extension rules above.
 
         In sorted times each piece owns one contiguous run, which starts
-        at the first time that belongs to it: ``t >= breakpoints[k]`` for
-        :meth:`eval`, ``t > breakpoints[k]`` for :meth:`eval_left`.  One
-        ``searchsorted`` finds the runs, and every row past the constant
-        left region is evaluated in place at its local time ``t -
-        breakpoints[k]``, from one power table in fixed-shape BLAS tiles
+        at the first time ``t >= breakpoints[k]``.  One ``searchsorted``
+        finds the runs, and every row past the constant left region is
+        evaluated in place at its local time ``t - breakpoints[k]``, from
+        one power table in fixed-shape BLAS tiles
         (:func:`_tile_products`); unsorted input is sorted once (stably)
         and scattered back at the end.
         """
@@ -327,7 +314,7 @@ class PiecewiseMatrixPolynomial:
         d = self.dim
         out = np.empty((ts.size, d, d))
         bp = self.breakpoints[:-1]
-        cuts = np.searchsorted(ts, bp, side=side)
+        cuts = np.searchsorted(ts, bp)
         first = cuts[0]
         out[:first] = self.left_value
         ends = [*cuts[1:], ts.size]
@@ -417,18 +404,18 @@ def running_antiderivative(coeffs, widths, start):
     return out
 
 
-def convolve_kernel(a0, a1, sigma, phi0, lo, hi):
+def convolve_kernel(a0, a1, sigma, phi0, hi):
     """The solution's repeated sum ``X(t) = sum_r Theta_r(t - r sigma)``
-    on ``[lo, hi)``.
+    on ``[b_0, hi)``, ``b_0`` the first breakpoint of ``phi0``.
 
-    ``Theta_0`` is ``phi0`` on and after its first breakpoint and zero
-    before it (its ``left_value`` is not used), and ``Theta_{r+1}`` is the
+    ``Theta_0`` is ``phi0`` on and after ``b_0`` and zero before it (its
+    ``left_value`` is not used), and ``Theta_{r+1}`` is the
     antiderivative, taken from that breakpoint, of ``L(Theta_r)`` with
     ``L(M) = A0 M + M A1``.  ``L`` acts on the matrix values and the
     antiderivative on the powers, so every ``Theta_r`` shares the ``K``
     data pieces and is one ``(K, n, d, d)`` array of local coefficients.
-    The window count follows from ``[lo, hi)``, ``sigma`` and the first
-    data knot: term ``r`` is live where ``t - r sigma`` has reached it.
+    The window count follows from ``hi - b_0`` and ``sigma``: term ``r``
+    is live where ``t - r sigma`` has reached ``b_0``.
     The output knots are the data knots shifted by every ``r sigma``.  On
     an output interval starting at ``t0``, term ``r`` is the ``Theta_r``
     piece that holds ``t0 - r sigma``, re-expanded at that point: a shift
@@ -461,16 +448,16 @@ def convolve_kernel(a0, a1, sigma, phi0, lo, hi):
             f"a0 and a1 must have shape ({d}, {d}) to match the data, "
             f"got {a0.shape} and {a1.shape}"
         )
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi})")
     bks = phi0.breakpoints
+    if not bks[0] < hi:
+        raise ValueError(f"need hi > {bks[0]:g}, got {hi}")
     last = len(phi0.pieces) - 1
-    # every window whose first knot could fall inside [lo, hi), up to one
+    # every window whose first knot could fall inside [b_0, hi), up to one
     # past the cap; the knots past hi are dropped by the merge, and their
     # windows below
     reach = min(max(0, math.ceil((hi - bks[0]) / sigma)), MAX_DEGREE + 1)
     shifts = sigma * np.arange(reach + 1)
-    out_bks = _merge_breakpoints((bks[None, :] + shifts[:, None]).ravel(), lo, hi)
+    out_bks = _merge_breakpoints((bks[None, :] + shifts[:, None]).ravel(), bks[0], hi)
     t0 = out_bks[:-1]
     tm = 0.5 * (t0 + out_bks[1:])
     # Theta_r is zero left of its first knot, so its intervals are a

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .errors import NonFiniteOutput, SchemaError
+from .errors import NonFiniteOutput, SchemaError, UnwritablePath
 from .ppoly import PiecewiseMatrixPolynomial
 from .system import DelaySystem, ForcingSpec, HistorySpec, TrajectoryTable
 
@@ -61,11 +61,13 @@ __all__ = [
 
 
 def load_json(path):
-    """Parse a JSON file; malformed input fails with ``path:line:col``."""
+    """Parse a UTF-8 JSON file; malformed input fails with
+    ``path:line:col``, and a file that cannot be read, is not UTF-8 or
+    nests too deeply to parse fails located at ``path``."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read file: {exc}", location=str(path)) from exc
     try:
         return json.loads(text)
@@ -73,6 +75,8 @@ def load_json(path):
         raise SchemaError(
             f"invalid JSON: {exc.msg}", location=f"{path}:{exc.lineno}:{exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply", location=str(path)) from exc
 
 
 def _all_finite(value):
@@ -148,22 +152,30 @@ def replace_on_success(path):
     is left as it was.  A symbolic link (such as ``/dev/stdout``) or an
     existing path that is not a regular file (a device or a pipe) is
     written in place, since renaming over it would replace the link or
-    the device itself.
+    the device itself.  A path that cannot be opened (a missing
+    directory, or a directory) raises
+    :class:`~delaymat.errors.UnwritablePath` naming ``path``.
     """
     path = os.fspath(path)
-    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
-        with open(path, "w", encoding="utf-8") as fh:
+    in_place = os.path.islink(path) or (
+        os.path.exists(path) and not os.path.isfile(path)
+    )
+    head, name = os.path.split(path)
+    target = path if in_place else os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(target, "w" if in_place else "x", encoding="utf-8")
+    except OSError as exc:
+        raise UnwritablePath(f"cannot write {path}: {exc.strerror or exc}") from exc
+    if in_place:
+        with fh:
             yield fh
         return
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(target, path)
     except BaseException:
-        os.remove(tmp)
+        os.remove(target)
         raise
 
 

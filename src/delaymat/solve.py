@@ -15,8 +15,8 @@ reads ``Psi'``.  In vectorized form it is the delayed matrix exponential
 of ``I (x) A0 + A1^T (x) I`` (Khusainov and Shuklin, 2003).
 :func:`solve_continuous` builds ``Theta_0`` from the data and hands it to
 :func:`~delaymat.ppoly.convolve_kernel`, which evaluates the sum by
-repeated integration; the fundamental solution ``Z`` is the case
-``Theta_0 = I``.
+repeated integration.  The fundamental solution ``Z`` is the solve with
+history ``I`` and no forcing (:func:`build_fundamental_continuous`).
 
 The discrete solution for ``u = -m .. N`` is, in the same way,
 
@@ -50,19 +50,19 @@ not read it.  Which data fits a system and a horizon is decided in
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import (  # noqa: F401
-    build_fundamental_continuous,  # unused here: perfbench/spans.py patches it
-    delay_windows,
-    discrete_kernel,
-)
+from .errors import DegreeCapExceeded
+from .fundamental import discrete_kernel
 from .linalg import max_abs
 from .ppoly import (
+    MAX_DEGREE,
     PiecewiseMatrixPolynomial,
     _padded,
+    _power_sum,
     convolve_kernel,
     running_antiderivative,
 )
@@ -72,6 +72,7 @@ __all__ = [
     "HypothesisReport",
     "validate_hypotheses",
     "solve_continuous",
+    "build_fundamental_continuous",
     "solve_discrete",
 ]
 
@@ -162,13 +163,33 @@ def validate_hypotheses(sys, history, forcing=None, tol=HYPOTHESIS_TOL, steps=No
     return report
 
 
+def delay_windows(horizon, sigma):
+    """The number ``U = ceil(horizon / sigma)`` (at least 1) of delay
+    windows that cover ``[0, horizon]``, ``horizon`` positive and finite.
+    Each window adds one polynomial degree, so more than
+    :data:`~delaymat.ppoly.MAX_DEGREE` of them raise
+    :class:`~delaymat.errors.DegreeCapExceeded`."""
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    spans = horizon / sigma - 1e-12
+    if spans > MAX_DEGREE:
+        raise DegreeCapExceeded(
+            f"horizon {horizon:g} spans more than {MAX_DEGREE} delay windows "
+            f"of {sigma:g}; the degree cap allows at most {MAX_DEGREE}"
+        )
+    return max(1, math.ceil(spans))
+
+
 def _data_integral(psi, g, sigma, horizon):
     """``Theta_0``: the history on ``[-sigma, 0]``, then ``Psi(0) +
-    \\int_0^t G`` on ``[0, horizon]`` (constant without forcing)."""
+    \\int_0^t G`` on ``[0, horizon]`` (constant without forcing), where
+    ``Psi(0)`` is the left limit: the last history piece at its width."""
     segs = psi.pieces_in(-sigma, 0.0)
-    start = psi.eval_left(0.0)
+    lo, hi, last = segs[-1]
+    start = np.empty((1,) + last.shape[1:])
+    _power_sum(last, np.array([hi - lo]), start)
     if g is None:
-        segs.append((0.0, horizon, start[None]))
+        segs.append((0.0, horizon, start))
     else:
         gsegs = g.pieces_in(0.0, horizon)
         coeffs = _padded([c for _, _, c in gsegs])
@@ -188,12 +209,22 @@ def solve_continuous(sys, history, forcing, horizon):
     sigma = sys.sigma
     delay_windows(horizon, sigma)  # refuses a horizon past the degree cap
     x = convolve_kernel(sys.a0, sys.a1, sigma, _data_integral(psi, g, sigma, horizon),
-                        -sigma, horizon)
+                        horizon)
     log.info(
         "solve(continuous): d=%d sigma=%g horizon=%g segments=%d degree=%d",
         sys.dim, sigma, horizon, len(x.pieces), x.degree,
     )
     return x
+
+
+def build_fundamental_continuous(sys, horizon):
+    """The continuous fundamental solution ``Z``: the solution with history
+    ``I`` on ``[-sigma, 0]`` and no forcing, on ``[-sigma, U sigma)`` with
+    ``U =`` :func:`delay_windows`, zero below ``-sigma``."""
+    sigma = sys.sigma
+    end = delay_windows(float(horizon), sigma) * sigma
+    identity = PiecewiseMatrixPolynomial([-sigma, 0.0], np.eye(sys.dim)[None, None])
+    return solve_continuous(sys, identity, None, end)
 
 
 def solve_discrete(sys, history, forcing, n_steps):

@@ -154,7 +154,8 @@ class TrajectoryTable:
             raise ValueError(
                 f"{times.shape[0]} times vs {values.shape[0]} matrices"
             )
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        # compared, not subtracted: a difference of finite times can overflow
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)

@@ -309,6 +309,35 @@ class TestSolveCommand:
         assert code == 2
         assert str(broken) in err
 
+    @pytest.mark.parametrize("role", ["system", "history", "forcing"])
+    def test_non_utf8_file_is_a_schema_error(self, capsys, tmp_path, ex1_files, role):
+        # a UTF-16 byte-order mark, then JSON in UTF-16
+        paths = dict(zip(("system", "history", "forcing"), ex1_files))
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        paths[role] = str(bad)
+        code, out, err = run_cli(
+            capsys, "solve", "--system", paths["system"], "--history",
+            paths["history"], "--forcing", paths["forcing"], "--to", "1",
+            "--step", "0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: cannot read file: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
+
+    def test_deeply_nested_json_is_a_schema_error(self, capsys, tmp_path, ex1_files):
+        sys_path, _, _ = ex1_files
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(
+            capsys, "solve", "--system", sys_path, "--history", str(deep),
+            "--to", "1", "--step", "0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {deep}: invalid JSON: nested too deeply\n"
+
 
 def write_random_problem(tmp_path, family):
     """A random d=3 problem of ``family`` as (system, history, forcing)
@@ -520,6 +549,28 @@ class TestOutputsAndManifest:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "hist.json", "sys.json", "x.json"
         ]
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-q", "--dump-z"])
+    @pytest.mark.parametrize("target, reason", [
+        pytest.param("nodir/x.csv", "No such file or directory", id="missing-dir"),
+        pytest.param("outdir", "Is a directory", id="directory"),
+    ])
+    def test_unwritable_output_path_is_a_flag_error(
+            self, capsys, tmp_path, monkeypatch, flag, target, reason):
+        sys_path = scalar_files(tmp_path, 0.5, 1.0)[2]
+        (tmp_path / "outdir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "fundamental", "--system", sys_path, "--to", "1",
+            "--step", "0.5", flag, target,
+        )
+        assert code == 2
+        assert out == ""  # the dumps are written before the table
+        assert err == f"error: {flag}: cannot write {target}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hist.json", "outdir", "sys.json"
+        ]
+        assert list((tmp_path / "outdir").iterdir()) == []
 
     def test_successful_run_leaves_only_its_outputs(self, capsys, tmp_path):
         sys_path = scalar_files(tmp_path / "in", 0.5, 1.0)[2]

@@ -19,8 +19,11 @@ from commutative_reference import (
 from delaymat import (
     DelaySystem,
     DiscreteFundamental,
+    PiecewiseMatrixPolynomial,
     build_fundamental_continuous,
     fixtures,
+    oracle,
+    solve_continuous,
 )
 from delaymat.errors import DegreeCapExceeded
 from delaymat.fundamental import build_q_table
@@ -94,6 +97,36 @@ class TestContinuousWindows:
             build_fundamental_continuous(ex2_system, 3.0)
         with pytest.raises(ValueError):
             build_fundamental_continuous(ex1_system, 0.0)
+
+    @pytest.mark.parametrize("horizon, windows", [(4.2, 6), (4.5, 7)])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_is_the_solve_with_history_identity(self, d, horizon, windows):
+        rng = np.random.default_rng(500 + d)
+        sigma = 0.7
+        sys = DelaySystem(
+            a0=rng.uniform(-1.0, 1.0, size=(d, d)),
+            a1=rng.uniform(-1.0, 1.0, size=(d, d)),
+            delay=sigma,
+            kind="continuous",
+        )
+        identity = PiecewiseMatrixPolynomial([-sigma, 0.0], np.eye(d)[None, None])
+        x = solve_continuous(sys, identity, None, windows * sigma)
+        z = build_fundamental_continuous(sys, horizon)
+        np.testing.assert_array_equal(z.breakpoints, x.breakpoints)
+        assert len(z.pieces) == len(x.pieces)
+        for zc, xc in zip(z.pieces, x.pieces):
+            np.testing.assert_array_equal(zc, xc)
+
+    @pytest.mark.parametrize("windows, bound", [(20, 4e-13), (40, 6e-9)])
+    def test_gap_to_the_method_of_steps_on_a_cancelling_system(self, windows, bound):
+        # the system whose repeated sum cancels at long horizons: the
+        # worst window's gap relative to max(|oracle|, 1)
+        sys = random_system(np.random.default_rng(5), 2, "continuous", entry_scale=0.5)
+        horizon = windows * sys.sigma
+        identity = PiecewiseMatrixPolynomial([-sys.sigma, 0.0], np.eye(2)[None, None])
+        pieces = oracle.continuous_pieces(sys, identity, None, horizon)
+        z = build_fundamental_continuous(sys, horizon)
+        assert max(rel for _, rel in oracle.window_gaps(pieces, z, horizon)) <= bound
 
     def test_window_expansion_matches_exact_fractions(self):
         """Local coefficients of window ``u``, ``sum_r q[r] (tau + (u-r)

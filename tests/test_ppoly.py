@@ -167,22 +167,11 @@ class TestEvaluationSemantics:
             left_value=[[-3.0]],
         )
         assert p.eval(1.0)[0, 0] == 5.0
-        assert p.eval_left(1.0)[0, 0] == 1.0
         assert p.eval(0.0)[0, 0] == 1.0
-        assert p.eval_left(0.0)[0, 0] == -3.0
         assert p.eval(-0.5)[0, 0] == -3.0
-        assert p.eval_left(-0.5)[0, 0] == -3.0
-        # past the end both evaluations continue the last piece
+        # past the end evaluation continues the last piece
         assert p.eval(2.0)[0, 0] == 5.0
         assert p.eval(7.0)[0, 0] == 5.0
-        assert p.eval_left(7.0)[0, 0] == 5.0
-
-    def test_eval_left_matches_eval_off_knots(self):
-        rng = np.random.default_rng(17)
-        p = random_ppoly(rng, 2, -1.0, 2.0, 3, 3)
-        ts = np.linspace(-1.7, 2.7, 101)
-        ts = ts[np.min(np.abs(ts[:, None] - p.breakpoints[None, :]), axis=1) > 1e-6]
-        np.testing.assert_allclose(p.eval_left(ts), p.eval(ts), atol=0)
 
     def test_vectorized_eval_matches_scalar_eval(self):
         rng = np.random.default_rng(23)
@@ -210,12 +199,16 @@ class TestEvaluationSemantics:
             PiecewiseMatrixPolynomial([0.0, 1.0], [np.ones((1, 2, 3))])
         with pytest.raises(DimensionMismatch):
             PiecewiseMatrixPolynomial([0.0, 1.0], [np.ones((0, 1, 1))])
+        # breakpoints whose difference overflows are ordered without a warning
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert PiecewiseMatrixPolynomial([-big, big], [one]).end == big
 
-    @pytest.mark.parametrize("name", ["eval", "eval_left"])
-    def test_times_of_more_than_one_dimension_are_refused(self, name):
+    def test_times_of_more_than_one_dimension_are_refused(self):
         p = PiecewiseMatrixPolynomial([0.0, 1.0], [np.ones((2, 2, 2))])
         with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
-            getattr(p, name)(np.array([[0.25, 0.5]]))
+            p.eval(np.array([[0.25, 0.5]]))
 
     def test_overflowing_values_come_back_as_inf_quietly(self):
         # 1e308 + 0.9e308 overflows in the product with the coefficients,
@@ -223,9 +216,8 @@ class TestEvaluationSemantics:
         p = PiecewiseMatrixPolynomial([0.0, 1.0], [np.full((2, 2, 2), 1e308)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for name in ("eval", "eval_left"):
-                got = getattr(p, name)(np.array([0.9, 1e200]))
-                assert np.all(got == np.inf), name
+            got = p.eval(np.array([0.9, 1e200]))
+        assert np.all(got == np.inf)
 
 
 class TestBatchIndependentEvaluation:
@@ -244,15 +236,12 @@ class TestBatchIndependentEvaluation:
             [-3.0, -1.0 - 1e-9, 2.0 + 1e-9, 5.0],
         ])
         ts = rng.permutation(np.concatenate([ts, ts[:7]]))
-        for name in ("eval", "eval_left"):
-            stacked = getattr(p, name)(ts)
-            assert stacked.shape == (ts.size, d, d)
-            for i, t in enumerate(ts):
-                np.testing.assert_array_equal(
-                    stacked[i], getattr(p, name)(t), err_msg=f"{name} at t={t}"
-                )
-            np.testing.assert_array_equal(getattr(p, name)(np.sort(ts)),
-                                          stacked[np.argsort(ts, kind="stable")])
+        stacked = p.eval(ts)
+        assert stacked.shape == (ts.size, d, d)
+        for i, t in enumerate(ts):
+            np.testing.assert_array_equal(stacked[i], p.eval(t), err_msg=f"t={t}")
+        np.testing.assert_array_equal(p.eval(np.sort(ts)),
+                                      stacked[np.argsort(ts, kind="stable")])
 
     @pytest.mark.parametrize("d", [1, 2, 8, 32])
     def test_mixed_degrees_across_tile_edges(self, d):
@@ -270,28 +259,20 @@ class TestBatchIndependentEvaluation:
         assert p.degree == 29
         ts = np.concatenate([rng.uniform(lo, lo + 1.0, size=r) for lo, r in zip(bks, runs)])
         ts = rng.permutation(np.concatenate([ts, [-3.0]]))
-        for name in ("eval", "eval_left"):
-            stacked = getattr(p, name)(ts)
-            for i, t in enumerate(ts):
-                np.testing.assert_array_equal(
-                    stacked[i], getattr(p, name)(t), err_msg=f"{name} at t={t}"
-                )
+        stacked = p.eval(ts)
+        for i, t in enumerate(ts):
+            np.testing.assert_array_equal(stacked[i], p.eval(t), err_msg=f"t={t}")
 
     def test_knots_pick_the_documented_side(self):
         rng = np.random.default_rng(311)
         p = random_ppoly(rng, 3, -1.0, 2.0, 4, 5)
         bks = p.breakpoints
         right = p.eval(bks)
-        left = p.eval_left(bks)
-        np.testing.assert_array_equal(left[0], p.left_value)
         # each piece is evaluated at the local time t - breakpoints[k]
         for k in range(1, bks.size):
             own = min(k, len(p.pieces) - 1)
             np.testing.assert_array_equal(
                 right[k], value(p.pieces[own], bks[k] - bks[own])
-            )
-            np.testing.assert_array_equal(
-                left[k], value(p.pieces[k - 1], bks[k] - bks[k - 1])
             )
         np.testing.assert_array_equal(right[0], value(p.pieces[0], 0.0))
 
@@ -414,8 +395,8 @@ class TestDegreeCap:
         a0, a1 = rng.uniform(-0.5, 0.5, size=(2, 1, 1))
         hi = MAX_DEGREE // 2 + 1.0
         with pytest.raises(DegreeCapExceeded):
-            convolve_kernel(a0, a1, 1.0, data, -1.0, hi)
-        out = convolve_kernel(a0, a1, 1.0, data, -1.0, hi - 1.0)
+            convolve_kernel(a0, a1, 1.0, data, hi)
+        out = convolve_kernel(a0, a1, 1.0, data, hi - 1.0)
         assert out.degree == MAX_DEGREE  # exactly at the cap
 
     def test_trailing_zero_coefficients_are_trimmed(self):
@@ -503,7 +484,7 @@ class TestConvolution:
             pieces = [rng.integers(-64, 65, size=(int(rng.integers(1, 5)), d, d)) / 64.0
                       for _ in knots[:-1]]
             phi0 = PiecewiseMatrixPolynomial(knots, pieces)
-            out = convolve_kernel(a0, a1, sigma, phi0, -sigma, windows * sigma)
+            out = convolve_kernel(a0, a1, sigma, phi0, windows * sigma)
         check_against_exact(out, a0, a1, sigma, knots, pieces, windows)
 
     # The convolution of one data piece with one delay term, now a Phi_r
@@ -529,7 +510,7 @@ class TestConvolution:
         knots = [-sigma, *hist_knots, 0.0, *force_knots, windows * sigma]
         pieces = [rng.integers(-64, 65, size=(5, 1, 1)) / 64.0 for _ in knots[:-1]]
         phi0 = PiecewiseMatrixPolynomial(knots, pieces)
-        out = convolve_kernel(a0, a1, sigma, phi0, -sigma, windows * sigma)
+        out = convolve_kernel(a0, a1, sigma, phi0, windows * sigma)
         shifted = np.concatenate([np.asarray(knots) + r * sigma for r in range(windows + 1)])
         np.testing.assert_array_equal(
             out.breakpoints, np.unique(shifted[shifted <= windows * sigma])
@@ -537,11 +518,13 @@ class TestConvolution:
         check_against_exact(out, a0, a1, sigma, knots, pieces, windows)
 
     def test_empty_integration_range_gives_zero(self):
-        # left of the data's first knot every Theta_r integrates over nothing
+        # left of the data's first knot every Theta_r integrates over
+        # nothing, whatever the data's left_value
         rng = np.random.default_rng(44)
         data = random_ppoly(rng, 2, 0.0, 1.0, 1, 1)
         a0, a1 = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
-        out = convolve_kernel(a0, a1, 0.5, data, -1.0, 0.0)
+        out = convolve_kernel(a0, a1, 0.5, data, 1.0)
+        assert out.start == 0.0
         np.testing.assert_array_equal(out.eval(np.linspace(-1.0, -1e-9, 7)),
                                       np.zeros((7, 2, 2)))
 
@@ -549,14 +532,14 @@ class TestConvolution:
         rng = np.random.default_rng(45)
         data = random_ppoly(rng, 2, -1.0, 1.0, 1, 3)
         a0, a1 = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
-        out = convolve_kernel(a0, a1, 1.0, data, -1.0, 1.0)
+        out = convolve_kernel(a0, a1, 1.0, data, 1.0)
         assert [c.shape[0] - 1 for c in out.pieces] == [3, 3 + 1]
 
     def test_output_knots_are_the_data_knots_shifted_by_each_delay(self):
         rng = np.random.default_rng(48)
         data = random_ppoly(rng, 1, -0.5, 2.0, 3, 1)  # knots -0.5, 0.333.., 1.166..
         a0, a1 = rng.uniform(-1.0, 1.0, size=(2, 1, 1))
-        out = convolve_kernel(a0, a1, 0.5, data, -0.5, 1.5)
+        out = convolve_kernel(a0, a1, 0.5, data, 1.5)
         # the windows r = 0 .. 3 start at -0.5 + 0.5 r, inside [-0.5, 1.5)
         want = np.unique(np.concatenate(
             [data.breakpoints + 0.5 * r for r in range(4)] + [[1.5]]))
@@ -568,7 +551,7 @@ class TestConvolution:
         data = random_ppoly(rng, 3, 0.0, 1.0, 1, 1)
         a0, a1 = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
         with pytest.raises(DimensionMismatch):
-            convolve_kernel(a0, a1, 1.0, data, 0.0, 1.0)
+            convolve_kernel(a0, a1, 1.0, data, 1.0)
 
 
 def generic_knot_problem(seed):

@@ -4,6 +4,8 @@ identical bit pattern from a JSON trajectory file and from a CSV file."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,15 @@ def test_csv_file_reads_back_bit_identically(out_dir, table):
     with open(path, "w") as fh:
         write_trajectory_csv(table, fh)
     assert_same_bits(read_trajectory_csv(path, kind="continuous"), table)
+
+
+def test_times_a_float_range_apart_are_taken_quietly():
+    # the difference of -max and max overflows: the sweep above can draw
+    # such times, and checking their order must not warn
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = TrajectoryTable(
+            kind="continuous", times=np.array([-big, big]), values=np.zeros((2, 1, 1))
+        )
+    assert table.times.tolist() == [-big, big]

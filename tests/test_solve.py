@@ -596,6 +596,18 @@ class TestGeneralContinuousData:
             gap = max_abs(x.eval(np.array(ts)) - exact)
             assert gap <= 1e-13 * max(max_abs(exact), 1.0), (w, gap)
 
+    def test_a_history_past_zero_starts_from_its_left_limit(self):
+        # X(0) is Psi(0-), the piece left of 0 at its width, not the
+        # piece that starts at 0
+        rng = np.random.default_rng(78)
+        sigma = 0.75
+        sys = random_system(rng, 2, "continuous", sigma=sigma, entry_scale=0.5)
+        left, right = rng.uniform(-1.0, 1.0, size=(2, 3, 2, 2))
+        history = PiecewiseMatrixPolynomial([-sigma, 0.0, 1.0], [left, right])
+        x = solve_continuous(sys, history, None, 2 * sigma)
+        np.testing.assert_array_equal(x.eval(0.0), value(left, sigma))
+        assert max_abs(x.eval(0.0) - right[0]) > 1e-3
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_long_delay_warns_of_no_overflow(self, seed):
